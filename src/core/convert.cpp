@@ -473,7 +473,8 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
 
   // The memo outlives each restarted Converter: that is what makes §2.4
   // restarts cheap. Scoped to this call — reach() semantics depend on the
-  // compress mode, so adaptive's fallback run builds its own memo.
+  // compress mode, so the convert pass's adaptive fallback run builds its
+  // own memo.
   SuccessorMemo memo;
   SuccessorMemo* memo_ptr = options.memoize ? &memo : nullptr;
 
@@ -543,20 +544,6 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
         allow_split = false;
       }
     }
-  }
-}
-
-ConvertResult meta_state_convert_adaptive(const StateGraph& graph,
-                                          const ir::CostModel& cost,
-                                          ConvertOptions options) {
-  try {
-    return meta_state_convert(graph, cost, options);
-  } catch (const ExplosionError&) {
-    options.compress = true;
-    // Compression forfeits the §3.2.4 masking anyway; degrade the barrier
-    // mode with it rather than trade an explosion for a compile error.
-    options.barrier_mode = BarrierMode::TrackOccupancy;
-    return meta_state_convert(graph, cost, options);
   }
 }
 

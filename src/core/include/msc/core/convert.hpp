@@ -109,14 +109,6 @@ ConvertResult meta_state_convert(const ir::StateGraph& graph,
                                  const ir::CostModel& cost,
                                  const ConvertOptions& options = {});
 
-/// The practical policy the paper's §1.2 warning implies: run the base
-/// conversion under a state budget; if it explodes, fall back to §2.5
-/// compression (which is bounded by the reachable unions). The result
-/// records which mode actually ran via `automaton.compressed`.
-ConvertResult meta_state_convert_adaptive(const ir::StateGraph& graph,
-                                          const ir::CostModel& cost,
-                                          ConvertOptions options = {});
-
 }  // namespace msc::core
 
 #endif  // MSC_CORE_CONVERT_HPP

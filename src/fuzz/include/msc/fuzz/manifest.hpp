@@ -28,14 +28,11 @@ struct Manifest {
   std::uint64_t input_seed = 1;
   bool reuse_halted_pes = false;
   // The matrix cell (for kind != "corpus" replays).
-  /// Comma-separated conversion-stage pass pipeline (schema 1 with passes,
-  /// e.g. "compress,convert,subsume,straighten"). Empty = derive from the
-  /// legacy boolean fields below, so pre-pipeline manifests keep replaying.
+  /// Comma-separated conversion-stage pass pipeline, e.g.
+  /// "compress,convert,subsume,straighten". Empty = RunSpec's default,
+  /// "convert,subsume,straighten".
   std::string pipeline;
-  bool compress = false;    ///< legacy (parse-only fallback)
-  bool subsume = true;      ///< legacy (parse-only fallback)
   bool prune = false;
-  bool time_split = false;  ///< legacy (parse-only fallback)
   unsigned threads = 1;
   std::string engine = "codegen";
   std::string note;
@@ -47,9 +44,10 @@ struct Manifest {
 
 std::string to_json(const Manifest& m);
 
-/// Parse a manifest from its JSON text (flat object; throws
-/// std::runtime_error with a position on malformed input or wrong schema).
-Manifest parse_manifest(const std::string& json);
+/// Parse a manifest from its JSON text with json::parse. Unknown keys are
+/// ignored; throws std::runtime_error on malformed JSON (with a byte
+/// offset), a mistyped field, a wrong schema, or a missing source_file.
+Manifest parse_manifest(const std::string& text);
 
 /// Read `path`, parse it, and (when `source_out` is non-null) also read
 /// the referenced source file relative to the manifest's directory.

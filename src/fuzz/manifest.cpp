@@ -1,144 +1,39 @@
-// Repro manifests: a tiny flat-JSON schema shared by the fuzzer's output,
-// `mscfuzz --replay`, and corpus_regression_test. Hand-rolled reader and
-// writer because the schema is one flat object and the toolchain carries
-// no JSON dependency.
+// Repro manifests: one JSON object per reproducer, shared by the fuzzer's
+// output, `mscfuzz --replay`, and corpus_regression_test. Read with
+// support/json and written with json_escape, like every other JSON
+// document in the toolchain.
 #include "msc/fuzz/manifest.hpp"
 
-#include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
 #include "msc/simd/machine.hpp"
+#include "msc/support/json.hpp"
 #include "msc/support/str.hpp"
 
 namespace msc::fuzz {
 namespace {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
+// Field readers: an absent key keeps the default, a present key of the
+// wrong type throws (json::ParseError is a std::runtime_error).
+void read(const json::Value& doc, const char* key, std::string& field) {
+  if (const json::Value* v = doc.find(key)) field = v->as_string();
 }
 
-/// Minimal parser for one flat JSON object with string / integer /
-/// boolean values. Unknown keys are ignored (forward compatibility).
-class FlatParser {
- public:
-  explicit FlatParser(const std::string& text) : text_(text) {}
-
-  std::map<std::string, std::string> parse() {
-    std::map<std::string, std::string> fields;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return fields;
-    }
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      fields[key] = parse_value();
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-    return fields;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error(
-        cat("manifest parse error at offset ", static_cast<std::int64_t>(pos_),
-            ": ", what));
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  char next() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void expect(char c) {
-    if (next() != c) fail(cat("expected '", std::string(1, c), "'"));
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) fail("dangling escape");
-        const char e = text_[pos_++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          default: fail("unsupported escape");
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-  std::string parse_value() {
-    const char c = peek();
-    if (c == '"') return parse_string();
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != ',' && text_[pos_] != '}' &&
-           !std::isspace(static_cast<unsigned char>(text_[pos_])))
-      out += text_[pos_++];
-    if (out.empty()) fail("expected a value");
-    return out;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::int64_t to_int(const std::map<std::string, std::string>& fields,
-                    const std::string& key, std::int64_t fallback) {
-  auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  return std::stoll(it->second);
+void read(const json::Value& doc, const char* key, bool& field) {
+  const json::Value* v = doc.find(key);
+  if (!v) return;
+  if (v->kind != json::Value::Kind::Bool)
+    throw std::runtime_error(cat("manifest field '", key, "' is not a bool"));
+  field = v->b;
 }
 
-bool to_bool(const std::map<std::string, std::string>& fields,
-             const std::string& key, bool fallback) {
-  auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  if (it->second == "true") return true;
-  if (it->second == "false") return false;
-  throw std::runtime_error(cat("manifest field '", key, "' is not a bool"));
-}
-
-std::string to_str(const std::map<std::string, std::string>& fields,
-                   const std::string& key, const std::string& fallback) {
-  auto it = fields.find(key);
-  return it == fields.end() ? fallback : it->second;
+template <typename Int>
+void read(const json::Value& doc, const char* key, Int& field) {
+  if (const json::Value* v = doc.find(key))
+    field = static_cast<Int>(v->as_int());
 }
 
 }  // namespace
@@ -149,15 +44,6 @@ RunSpec Manifest::spec() const {
     s.pipeline.clear();
     for (const std::string& name : split(pipeline, ','))
       if (!name.empty()) s.pipeline.push_back(name);
-  } else {
-    // Legacy manifests describe the cell as booleans; rebuild the pass
-    // pipeline they meant.
-    s.pipeline.clear();
-    if (compress) s.pipeline.push_back("compress");
-    if (time_split) s.pipeline.push_back("time-split");
-    s.pipeline.push_back("convert");
-    if (subsume) s.pipeline.push_back("subsume");
-    s.pipeline.push_back("straighten");
   }
   s.barrier_mode = prune ? core::BarrierMode::PaperPrune
                          : core::BarrierMode::TrackOccupancy;
@@ -193,47 +79,44 @@ std::string to_json(const Manifest& m) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": " << m.schema << ",\n";
-  os << "  \"kind\": \"" << escape(m.kind) << "\",\n";
-  os << "  \"source_file\": \"" << escape(m.source_file) << "\",\n";
-  os << "  \"expect\": \"" << escape(m.expect) << "\",\n";
+  os << "  \"kind\": \"" << json_escape(m.kind) << "\",\n";
+  os << "  \"source_file\": \"" << json_escape(m.source_file) << "\",\n";
+  os << "  \"expect\": \"" << json_escape(m.expect) << "\",\n";
   os << "  \"nprocs\": " << m.nprocs << ",\n";
   os << "  \"initial_active\": " << m.initial_active << ",\n";
   os << "  \"input_seed\": " << m.input_seed << ",\n";
   os << "  \"reuse_halted_pes\": " << (m.reuse_halted_pes ? "true" : "false")
      << ",\n";
-  os << "  \"pipeline\": \"" << escape(m.pipeline) << "\",\n";
+  os << "  \"pipeline\": \"" << json_escape(m.pipeline) << "\",\n";
   os << "  \"prune\": " << (m.prune ? "true" : "false") << ",\n";
   os << "  \"threads\": " << m.threads << ",\n";
-  os << "  \"engine\": \"" << escape(m.engine) << "\",\n";
-  os << "  \"note\": \"" << escape(m.note) << "\"\n";
+  os << "  \"engine\": \"" << json_escape(m.engine) << "\",\n";
+  os << "  \"note\": \"" << json_escape(m.note) << "\"\n";
   os << "}\n";
   return os.str();
 }
 
-Manifest parse_manifest(const std::string& json) {
-  const auto fields = FlatParser(json).parse();
+Manifest parse_manifest(const std::string& text) {
+  const json::Value doc = json::parse(text);
+  if (!doc.is_object())
+    throw std::runtime_error("manifest is not a JSON object");
   Manifest m;
-  m.schema = static_cast<int>(to_int(fields, "schema", 1));
+  read(doc, "schema", m.schema);
   if (m.schema != 1)
     throw std::runtime_error(
         cat("unsupported manifest schema ", std::int64_t{m.schema}));
-  m.kind = to_str(fields, "kind", m.kind);
-  m.source_file = to_str(fields, "source_file", m.source_file);
-  m.expect = to_str(fields, "expect", m.expect);
-  m.nprocs = to_int(fields, "nprocs", m.nprocs);
-  m.initial_active = to_int(fields, "initial_active", m.initial_active);
-  m.input_seed =
-      static_cast<std::uint64_t>(to_int(fields, "input_seed",
-                                        static_cast<std::int64_t>(m.input_seed)));
-  m.reuse_halted_pes = to_bool(fields, "reuse_halted_pes", m.reuse_halted_pes);
-  m.pipeline = to_str(fields, "pipeline", m.pipeline);
-  m.compress = to_bool(fields, "compress", m.compress);
-  m.subsume = to_bool(fields, "subsume", m.subsume);
-  m.prune = to_bool(fields, "prune", m.prune);
-  m.time_split = to_bool(fields, "time_split", m.time_split);
-  m.threads = static_cast<unsigned>(to_int(fields, "threads", m.threads));
-  m.engine = to_str(fields, "engine", m.engine);
-  m.note = to_str(fields, "note", m.note);
+  read(doc, "kind", m.kind);
+  read(doc, "source_file", m.source_file);
+  read(doc, "expect", m.expect);
+  read(doc, "nprocs", m.nprocs);
+  read(doc, "initial_active", m.initial_active);
+  read(doc, "input_seed", m.input_seed);
+  read(doc, "reuse_halted_pes", m.reuse_halted_pes);
+  read(doc, "pipeline", m.pipeline);
+  read(doc, "prune", m.prune);
+  read(doc, "threads", m.threads);
+  read(doc, "engine", m.engine);
+  read(doc, "note", m.note);
   if (m.source_file.empty())
     throw std::runtime_error("manifest is missing source_file");
   return m;

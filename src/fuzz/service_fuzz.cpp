@@ -46,8 +46,18 @@ const char* kSeedFrames[] = {
 
 std::string mutate_frame(const std::string& base, Rng& rng) {
   std::string s = base;
-  const int kind = static_cast<int>(rng.next_below(9));
+  const int kind = static_cast<int>(rng.next_below(10));
   switch (kind) {
+    case 9: {  // insert a UTF-8 character or an ill-formed byte run
+      static const char* kBytes[] = {
+          "\xc3\xa9",          "\xc2\xa7",     "\xe2\x89\xa5",
+          "\xf0\x9f\x98\x80",  "\xef\xbf\xbd", "\x80",
+          "\xc0\x80",          "\xed\xa0\x80", "\xf4\x90\x80\x80",
+          "\xff",              "\xe2\x89"};
+      s.insert(rng.next_below(s.size() + 1),
+               kBytes[rng.next_below(sizeof(kBytes) / sizeof(kBytes[0]))]);
+      break;
+    }
     case 8: {  // toggle the trace flag (observability surface, §15)
       const std::size_t at = s.find("\"trace\": true");
       const std::size_t af = s.find("\"trace\": false");
@@ -124,6 +134,22 @@ std::string mutate_frame(const std::string& base, Rng& rng) {
   return s;
 }
 
+/// The first string in `v` (members and elements, recursively) that is
+/// not valid UTF-8, i.e. does not survive json_escape unchanged; null when
+/// every string does.
+const std::string* first_non_utf8(const json::Value& v) {
+  if (v.is_string()) {
+    const std::string& s = v.str;
+    return json::parse(cat("\"", json_escape(s), "\"")).str == s ? nullptr
+                                                                   : &s;
+  }
+  for (const json::Value& e : v.elems)
+    if (const std::string* bad = first_non_utf8(e)) return bad;
+  for (const auto& member : v.members)
+    if (const std::string* bad = first_non_utf8(member.second)) return bad;
+  return nullptr;
+}
+
 /// Check one response against the protocol contract. Returns "" when it
 /// holds, else the violation.
 std::string check_response(const std::string& frame,
@@ -138,6 +164,10 @@ std::string check_response(const std::string& frame,
     return cat("response is not valid JSON: ", e.what());
   }
   if (!doc.is_object()) return "response is not a JSON object";
+  // Strings on the wire are UTF-8 (DESIGN.md §13.1): raw bytes from a
+  // hostile frame must not leak into a response undecoded.
+  if (const std::string* bad = first_non_utf8(doc))
+    return cat("response string is not valid UTF-8: ", json_escape(*bad));
   const json::Value* schema = doc.find("schema");
   if (!schema || !schema->is_number() || schema->as_int() != 1)
     return "response lacks \"schema\": 1";

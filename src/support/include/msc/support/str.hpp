@@ -32,12 +32,16 @@ std::string pad_right(const std::string& s, std::size_t width);
 /// Fixed-point rendering with `digits` decimals (locale-independent).
 std::string fmt_double(double v, int digits);
 
-/// Escape `s` for embedding inside a JSON string literal: quotes and
-/// backslashes are backslash-escaped, control characters become \uXXXX
-/// (with \n/\t/\r/\b/\f short forms), and non-ASCII bytes are emitted as
-/// \u00XX escapes so the output is plain-ASCII valid JSON regardless of
-/// the input encoding. Every JSON emitter in the tree must route free-form
-/// keys/values (pass names, counter keys, file paths) through this.
+/// Escape `s` for embedding inside a JSON string literal. Quotes and
+/// backslashes are backslash-escaped; U+0000..U+001F and U+007F become
+/// \uXXXX (with \n/\t/\r/\b/\f short forms). Well-formed UTF-8 sequences
+/// are copied verbatim, and each maximal ill-formed subpart (a stray
+/// continuation byte, an overlong form, a surrogate, a value above
+/// U+10FFFF, a truncated sequence) becomes U+FFFD, so the output is valid
+/// UTF-8 JSON for any input and json::parse() returns `s` unchanged
+/// whenever `s` is valid UTF-8. Every JSON emitter in the tree routes its
+/// free-form keys and values (pass names, counter keys, file paths, error
+/// messages) through this.
 std::string json_escape(const std::string& s);
 
 }  // namespace msc

@@ -144,11 +144,71 @@ std::string fmt_double(double v, int digits) {
   return buf;
 }
 
+namespace {
+
+/// Length of the well-formed UTF-8 sequence whose lead byte is at `s[i]`
+/// (>= 0x80), or the negated length of its maximal ill-formed subpart
+/// (Unicode §3.9, Table 3-7): the longest prefix of a well-formed
+/// sequence that is present, and at least the lead byte itself.
+int utf8_sequence(const std::string& s, std::size_t i) {
+  const unsigned char lead = static_cast<unsigned char>(s[i]);
+  int need;
+  unsigned char lo = 0x80, hi = 0xBF;  // range of the second byte
+  if (lead >= 0xC2 && lead <= 0xDF) {
+    need = 1;
+  } else if (lead >= 0xE0 && lead <= 0xEF) {
+    need = 2;
+    if (lead == 0xE0) lo = 0xA0;  // overlong
+    if (lead == 0xED) hi = 0x9F;  // surrogates
+  } else if (lead >= 0xF0 && lead <= 0xF4) {
+    need = 3;
+    if (lead == 0xF0) lo = 0x90;  // overlong
+    if (lead == 0xF4) hi = 0x8F;  // above U+10FFFF
+  } else {
+    return -1;  // stray continuation byte, C0/C1 overlong lead, F5..FF
+  }
+  for (int k = 1; k <= need; ++k) {
+    const unsigned char c =
+        i + k < s.size() ? static_cast<unsigned char>(s[i + k]) : 0;
+    if (c < lo || c > hi) return -k;
+    lo = 0x80;
+    hi = 0xBF;
+  }
+  return need + 1;
+}
+
+/// Printable ASCII other than '"' and '\\': copied without escaping.
+bool json_plain(unsigned char c) {
+  return c >= 0x20 && c < 0x7F && c != '"' && c != '\\';
+}
+
+}  // namespace
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
+  for (std::size_t i = 0; i < s.size();) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (json_plain(c)) {  // copy the whole plain run in one append
+      std::size_t end = i + 1;
+      while (end < s.size() && json_plain(static_cast<unsigned char>(s[end])))
+        ++end;
+      out.append(s, i, end - i);
+      i = end;
+      continue;
+    }
+    if (c >= 0x80) {
+      const int len = utf8_sequence(s, i);
+      if (len > 0) {
+        out.append(s, i, static_cast<std::size_t>(len));
+        i += static_cast<std::size_t>(len);
+      } else {
+        out += "\xEF\xBF\xBD";  // U+FFFD REPLACEMENT CHARACTER
+        i += static_cast<std::size_t>(-len);
+      }
+      continue;
+    }
+    ++i;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -157,14 +217,11 @@ std::string json_escape(const std::string& s) {
       case '\r': out += "\\r"; break;
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20 || c >= 0x7F) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
+      default: {  // the other controls and U+007F
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
     }
   }
   return out;

@@ -381,19 +381,3 @@ TEST(ConvertStatsJson, ContainsEveryCounter) {
         "\"merge\"", "\"subsume\"", "\"straighten\"", "\"total\""})
     EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
 }
-
-TEST(Convert, AdaptiveFallsBackToCompression) {
-  ConvertOptions opts;
-  opts.max_meta_states = 200;
-  // Small graph: base mode fits, stays uncompressed.
-  auto small = driver::compile(workload::listing1().source);
-  auto a = meta_state_convert_adaptive(small.graph, kCost, opts);
-  EXPECT_FALSE(a.automaton.compressed);
-  EXPECT_EQ(a.automaton.num_states(), 8u);
-  // Divergent loop chain: base explodes past 200 → compressed result.
-  auto big = driver::compile(workload::loopy_source(8));
-  auto b = meta_state_convert_adaptive(big.graph, kCost, opts);
-  EXPECT_TRUE(b.automaton.compressed);
-  EXPECT_LT(b.automaton.num_states(), 200u);
-  EXPECT_TRUE(b.automaton.validate(b.graph).empty());
-}

@@ -224,8 +224,8 @@ TEST(FuzzSelftest, DefaultMatrixCoversEveryMode) {
       << "duplicate matrix cells";
 }
 
-TEST(FuzzSelftest, ManifestPipelineRoundTripAndLegacyFallback) {
-  // Schema-1-with-pipeline manifests replay the pass list verbatim.
+TEST(FuzzSelftest, ManifestPipelineRoundTrip) {
+  // Manifests replay the pass list verbatim.
   Manifest m = parse_manifest(
       R"({"schema": 1, "source_file": "a.mimdc",
           "pipeline": "compress,convert,straighten", "threads": 2})");
@@ -233,17 +233,19 @@ TEST(FuzzSelftest, ManifestPipelineRoundTripAndLegacyFallback) {
             (std::vector<std::string>{"compress", "convert", "straighten"}));
   EXPECT_EQ(m.spec().threads, 2u);
 
-  // Pre-pipeline manifests carry booleans; the spec they meant must be
-  // reconstructed so every checked-in corpus manifest keeps replaying.
-  Manifest legacy = parse_manifest(
-      R"({"schema": 1, "source_file": "a.mimdc",
-          "compress": true, "subsume": false, "time_split": true})");
-  EXPECT_EQ(legacy.spec().pipeline,
-            (std::vector<std::string>{"compress", "time-split", "convert",
-                                      "straighten"}));
+  // An empty or absent pipeline is the default conversion pipeline.
   Manifest plain = parse_manifest(R"({"schema": 1, "source_file": "a.mimdc"})");
   EXPECT_EQ(plain.spec().pipeline,
             (std::vector<std::string>{"convert", "subsume", "straighten"}));
+}
+
+TEST(FuzzSelftest, ManifestStringsRoundTripThroughTheJsonCodec) {
+  Manifest m;
+  m.source_file = "r\xc3\xa9pro.mimdc";
+  m.note = "\xc2\xa7" "3.2.5 \"quoted\" back\\slash\ttab\x01" "ctl";
+  Manifest back = parse_manifest(to_json(m));
+  EXPECT_EQ(back.note, m.note);
+  EXPECT_EQ(back.source_file, m.source_file);
 }
 
 }  // namespace

@@ -224,6 +224,12 @@ TEST(Pipeline, AdaptiveMatchesNonAdaptiveWhenNothingExplodes) {
       driver::convert(workload::listing1().source, kCost, adaptive);
   EXPECT_EQ(a.conversion.automaton.dump(), b.conversion.automaton.dump());
   EXPECT_FALSE(b.conversion.automaton.compressed);
+  // Under a 200-state budget listing1 still fits: no fallback.
+  adaptive.convert.max_meta_states = 200;
+  driver::Converted small =
+      driver::convert(workload::listing1().source, kCost, adaptive);
+  EXPECT_FALSE(small.conversion.automaton.compressed);
+  EXPECT_EQ(small.conversion.automaton.num_states(), 8u);
 }
 
 TEST(Pipeline, AdaptiveFallsBackToCompressionOnExplosion) {
@@ -233,6 +239,9 @@ TEST(Pipeline, AdaptiveFallsBackToCompressionOnExplosion) {
   const std::string big = workload::loopy_source(8);
   driver::Converted conv = driver::convert(big, kCost, popts);
   EXPECT_TRUE(conv.conversion.automaton.compressed);
+  EXPECT_LT(conv.conversion.automaton.num_states(), 200u);
+  EXPECT_TRUE(
+      conv.conversion.automaton.validate(conv.conversion.graph).empty());
   // Identical to asking for compression up front.
   driver::PipelineOptions direct;
   direct.convert.max_meta_states = 200;

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "msc/core/convert.hpp"
+#include "msc/driver/pipeline.hpp"
 #include "msc/service/client.hpp"
 #include "msc/service/daemon.hpp"
 #include "msc/support/json.hpp"
@@ -289,10 +291,32 @@ TEST(ServiceProtocol, MalformedFramesGetTypedErrors) {
   // Tiny explosion guard trips the typed explosion error.
   const std::string source = read_file(cat(MSC_CORPUS_DIR,
                                            "/barrier_phases.mimdc"));
-  expect_error(
+  const json::Value exploded =
       s.request(cat("{\"op\": \"compile\", \"source\": ", quoted(source),
-                    ", \"max_meta_states\": 1}")),
-      "explosion");
+                    ", \"max_meta_states\": 1}"));
+  expect_error(exploded, "explosion");
+  // The message cites the paper (§1.2) and arrives byte for byte.
+  EXPECT_EQ(exploded.at("error").at("message").as_string(),
+            core::ExplosionError(1).what());
+
+  // PaperPrune rejects spawn (§3.2.5); the daemon relays the converter's
+  // own CompileError text unchanged.
+  const std::string spawner = read_file(cat(MSC_CORPUS_DIR,
+                                            "/spawn_reuse.mimdc"));
+  const json::Value pruned =
+      s.request(cat("{\"op\": \"compile\", \"source\": ", quoted(spawner),
+                    ", \"prune\": true}"));
+  expect_error(pruned, "compile-error");
+  driver::PipelineOptions popts;
+  popts.convert.barrier_mode = core::BarrierMode::PaperPrune;
+  std::string local;
+  try {
+    driver::convert(spawner, ir::CostModel{}, popts);
+  } catch (const CompileError& e) {
+    local = e.what();
+  }
+  EXPECT_NE(local.find("\xc2\xa7" "3.2.5"), std::string::npos) << local;
+  EXPECT_EQ(pruned.at("error").at("message").as_string(), local);
 
   // After all that abuse the daemon still serves.
   json::Value doc = s.request("{\"op\": \"stats\"}");

@@ -6,6 +6,7 @@
 #include "msc/support/bitset.hpp"
 #include "msc/support/diag.hpp"
 #include "msc/support/dot.hpp"
+#include "msc/support/json.hpp"
 #include "msc/support/rng.hpp"
 #include "msc/support/str.hpp"
 #include "msc/support/value.hpp"
@@ -179,12 +180,136 @@ TEST(Str, JsonEscapeControlCharacters) {
   EXPECT_EQ(json_escape(std::string("\x1f")), "\\u001f");
 }
 
-TEST(Str, JsonEscapeNonAsciiBytesBecomeEscapes) {
-  // Non-ASCII bytes are emitted byte-by-byte as \u00XX so the output is
-  // plain-ASCII valid JSON regardless of the input encoding.
-  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\\u00c3\\u00a9");
-  for (char c : json_escape("any\x80\xffthing"))
-    EXPECT_TRUE(static_cast<unsigned char>(c) < 0x80) << json_escape("any\x80\xffthing");
+namespace {
+
+std::string utf8(char32_t cp) {
+  std::string out;
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+  return out;
+}
+
+/// Independent UTF-8 validity oracle: decode each sequence and reject
+/// overlong forms, surrogates, values above U+10FFFF and truncation.
+bool valid_utf8(const std::string& s) {
+  for (std::size_t i = 0; i < s.size();) {
+    const unsigned char lead = static_cast<unsigned char>(s[i]);
+    int len = lead < 0x80 ? 1 : lead >> 5 == 0x6 ? 2 : lead >> 4 == 0xE ? 3
+                              : lead >> 3 == 0x1E ? 4 : 0;
+    if (len == 0 || i + static_cast<std::size_t>(len) > s.size()) return false;
+    char32_t cp = len == 1 ? lead : lead & (0x7F >> len);
+    for (int k = 1; k < len; ++k) {
+      const unsigned char c = static_cast<unsigned char>(s[i + k]);
+      if ((c & 0xC0) != 0x80) return false;
+      cp = (cp << 6) | (c & 0x3F);
+    }
+    static const char32_t kMin[] = {0, 0, 0x80, 0x800, 0x10000};
+    if (cp < kMin[len] || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF))
+      return false;
+    i += static_cast<std::size_t>(len);
+  }
+  return true;
+}
+
+std::string decode_literal(const std::string& escaped) {
+  return json::parse("\"" + escaped + "\"").as_string();
+}
+
+}  // namespace
+
+TEST(Str, JsonEscapeKeepsUtf8Verbatim) {
+  EXPECT_EQ(json_escape("caf\xc3\xa9"), "caf\xc3\xa9");
+  const std::string mixed = "\xc2\xa7" "1.2 \xe2\x89\xa5 \xf0\x9f\x98\x80";
+  EXPECT_EQ(json_escape(mixed), mixed);
+  EXPECT_EQ(json_escape("\x7f"), "\\u007f");
+}
+
+TEST(Str, JsonEscapeRoundTripsRandomValidUtf8) {
+  // parse(escape(s)) == s for every valid UTF-8 string: ASCII, controls,
+  // quotes, backslashes, and 2/3/4-byte sequences including the edges of
+  // each encoding length.
+  static const char32_t kEdges[] = {0x80,   0x7FF,   0x800,    0xFFFF,
+                                    0x10000, 0x10FFFF, 0xD7FF, 0xE000,
+                                    0xA7,   0x2265,  0xFFFD};
+  Rng rng(0x5eed0015);
+  for (int iter = 0; iter < 10000; ++iter) {
+    std::string s;
+    const std::uint64_t len = rng.next_below(24);
+    for (std::uint64_t k = 0; k < len; ++k) {
+      switch (rng.next_below(7)) {
+        case 0: s += static_cast<char>(rng.next_range(0x20, 0x7E)); break;
+        case 1:
+          s += static_cast<char>(rng.chance(1, 8) ? 0x7F
+                                                  : rng.next_range(0, 0x1F));
+          break;
+        case 2: s += rng.chance(1, 2) ? '"' : '\\'; break;
+        case 3:
+          s += utf8(kEdges[rng.next_below(sizeof kEdges / sizeof kEdges[0])]);
+          break;
+        case 4:
+          s += utf8(static_cast<char32_t>(rng.next_range(0x80, 0x7FF)));
+          break;
+        case 5: {
+          auto cp = static_cast<char32_t>(rng.next_range(0x800, 0xFFFF));
+          if (cp >= 0xD800 && cp <= 0xDFFF) cp -= 0x800;  // skip surrogates
+          s += utf8(cp);
+          break;
+        }
+        default:
+          s += utf8(static_cast<char32_t>(rng.next_range(0x10000, 0x10FFFF)));
+      }
+    }
+    ASSERT_TRUE(valid_utf8(s));
+    const std::string escaped = json_escape(s);
+    ASSERT_TRUE(valid_utf8(escaped)) << escaped;
+    ASSERT_EQ(decode_literal(escaped), s) << escaped;
+  }
+}
+
+TEST(Str, JsonEscapeReplacesIllFormedSubpartsWithFffd) {
+  // One U+FFFD per maximal subpart (Unicode §3.9; the same substitution
+  // as WHATWG's decoder and Python's errors="replace").
+  const std::string r = "\xef\xbf\xbd";
+  const std::pair<std::string, std::string> kCases[] = {
+      {"\x80", r},                                   // stray continuation
+      {"\xc0\x80", r + r},                           // overlong NUL
+      {"\xed\xa0\x80", r + r + r},                   // surrogate U+D800
+      {"\xf4\x90\x80\x80", r + r + r + r},           // above U+10FFFF
+      {"\xf5", r},                                   // never a lead byte
+      {"\xe2\x89", r},                               // truncated at the end
+      {"a\xe2\x89" "b", "a" + r + "b"},              // truncated mid-string
+      {"\xf0\x9f\x98\"", r + "\\\""},                // truncated before a quote
+      {"\xff\xc3\xa9", r + "\xc3\xa9"},              // valid after invalid
+  };
+  for (const auto& [in, want] : kCases) {
+    const std::string got = json_escape(in);
+    EXPECT_EQ(got, want) << in;
+    EXPECT_TRUE(valid_utf8(got)) << in;
+  }
+}
+
+TEST(Str, JsonEscapeOutputIsValidUtf8JsonForAnyBytes) {
+  Rng rng(0xb17e5);
+  for (int iter = 0; iter < 10000; ++iter) {
+    std::string s(rng.next_below(16), '\0');
+    for (char& c : s) c = static_cast<char>(rng.next_below(256));
+    const std::string escaped = json_escape(s);
+    ASSERT_TRUE(valid_utf8(escaped)) << iter;
+    ASSERT_NO_THROW(decode_literal(escaped)) << iter;
+  }
 }
 
 // ---------------------------------------------------------------------- rng
