@@ -1,7 +1,9 @@
 // T-CSI — §3.1 common subexpression induction: factor operations shared
 // by multiple threads of a meta state into single SIMD broadcasts.
 // Measure schedule cost vs. naive serialization vs. the class lower
-// bound, per kernel and per algorithm, plus end-to-end cycle impact.
+// bound, per kernel, plus end-to-end cycle impact. The gate
+// T-CSI.induction-bounded demands lower bound ≤ induced ≤ serialized on
+// every suite row and a strict saving over the whole suite.
 #include "bench_util.hpp"
 
 #include "msc/csi/csi.hpp"
@@ -57,10 +59,17 @@ void report() {
   Table t({"kernel", "wide states", "serialized", "induced", "lower bound",
            "saved", "shared ops"},
           {18, 12, 12, 10, 13, 10, 11});
+  Agg total;
+  std::string out_of_bounds;
   for (const auto& k : workload::suite()) {
     if (k.name == "imbalanced") continue;
-    Agg a = aggregate(k.source, csi::Algorithm::Best);
+    Agg a = aggregate(k.source, csi::Algorithm::Progressive);
     if (a.wide_states == 0) continue;
+    if ((a.bound > a.induced || a.induced > a.serialized) &&
+        out_of_bounds.empty())
+      out_of_bounds = k.name;
+    total.serialized += a.serialized;
+    total.induced += a.induced;
     double saved = a.serialized == 0
                        ? 0.0
                        : 1.0 - static_cast<double>(a.induced) /
@@ -71,19 +80,30 @@ void report() {
   }
   t.print("Aggregate schedule cost across all multi-member meta states "
           "(induced ≤ serialized, ≥ class lower bound)");
+  bench::JsonReport::instance().gate(
+      "T-CSI.induction-bounded",
+      out_of_bounds.empty() && total.induced < total.serialized,
+      out_of_bounds.empty()
+          ? cat("every suite row has lower bound <= induced <= serialized; "
+                "suite total induced ", total.induced, " vs serialized ",
+                total.serialized, " (gate: induced < serialized)")
+          : cat(out_of_bounds, ": induced cost outside [lower bound, "
+                               "serialized]"));
 
-  Table alg({"algorithm", "induced cost (listing1)", "induced (branchy4)"},
-            {14, 24, 20});
+  Table ladder({"schedule", "cost (listing1)", "cost (branchy4)"},
+               {14, 18, 18});
+  Agg listing1, branchy4;
   for (auto [name, a] : std::vector<std::pair<std::string, csi::Algorithm>>{
            {"serialize", csi::Algorithm::Serialize},
-           {"greedy", csi::Algorithm::Greedy},
-           {"progressive", csi::Algorithm::Progressive},
-           {"best", csi::Algorithm::Best}}) {
-    alg.row({name,
-             bench::num(aggregate(workload::listing1().source, a).induced),
-             bench::num(aggregate(workload::branchy_source(4), a).induced)});
+           {"progressive", csi::Algorithm::Progressive}}) {
+    listing1 = aggregate(workload::listing1().source, a);
+    branchy4 = aggregate(workload::branchy_source(4), a);
+    ladder.row({name, bench::num(listing1.induced), bench::num(branchy4.induced)});
   }
-  alg.print("Algorithm comparison (§3.1's search quality ladder)");
+  ladder.row(
+      {"lower bound", bench::num(listing1.bound), bench::num(branchy4.bound)});
+  ladder.print("Search quality ladder (§3.1): serialize ≥ progressive ≥ "
+               "class lower bound");
 
   // End-to-end: cycles with and without CSI.
   Table e2e({"kernel", "cycles no-CSI", "cycles CSI", "speedup"},
@@ -122,21 +142,13 @@ std::vector<std::vector<ir::Instr>> synth_threads(std::size_t n, std::size_t len
   return bodies;
 }
 
-void bm_alg(benchmark::State& state, csi::Algorithm alg) {
+void BM_CsiProgressive(benchmark::State& state) {
   auto bodies = synth_threads(static_cast<std::size_t>(state.range(0)), 40, 5);
   std::vector<csi::Thread> threads;
   for (std::size_t i = 0; i < bodies.size(); ++i) threads.push_back({i, &bodies[i]});
   csi::CsiOptions opts;
-  opts.algorithm = alg;
   opts.guard_bits = bodies.size();
   for (auto _ : state) benchmark::DoNotOptimize(csi::induce(threads, kCost, opts));
-}
-
-void BM_CsiGreedy(benchmark::State& state) { bm_alg(state, csi::Algorithm::Greedy); }
-BENCHMARK(BM_CsiGreedy)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_CsiProgressive(benchmark::State& state) {
-  bm_alg(state, csi::Algorithm::Progressive);
 }
 BENCHMARK(BM_CsiProgressive)->Arg(2)->Arg(4)->Arg(8);
 

@@ -1,6 +1,7 @@
 #include <set>
 
 #include "msc/codegen/program.hpp"
+#include "msc/csi/csi.hpp"
 #include "msc/support/str.hpp"
 
 namespace msc::codegen {
@@ -101,7 +102,7 @@ class Generator {
     }
     csi::CsiOptions copts;
     copts.algorithm =
-        opts_.use_csi ? opts_.csi_algorithm : csi::Algorithm::Serialize;
+        opts_.use_csi ? csi::Algorithm::Progressive : csi::Algorithm::Serialize;
     copts.guard_bits = graph_.size();
     csi::CsiResult induced = csi::induce(threads, cost_, copts);
     mc.serialized_cost = induced.serialized_cost;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "msc/core/automaton.hpp"
-#include "msc/csi/csi.hpp"
 #include "msc/hash/multiway.hpp"
 #include "msc/ir/cost.hpp"
 #include "msc/ir/graph.hpp"
@@ -97,10 +96,9 @@ struct SimdProgram {
 };
 
 struct CodegenOptions {
-  /// §3.1: run common subexpression induction per meta state. Off = naive
-  /// serialization (the ablation baseline).
+  /// §3.1: run common subexpression induction (csi::Algorithm::Progressive)
+  /// per meta state. Off = naive serialization (the ablation baseline).
   bool use_csi = true;
-  csi::Algorithm csi_algorithm = csi::Algorithm::Best;
   hash::SearchOptions hash_options;
 };
 

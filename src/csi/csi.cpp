@@ -28,59 +28,6 @@ std::vector<GuardedOp> serialize(const std::vector<Thread>& threads,
   return out;
 }
 
-/// Cost-weighted majority merge over thread fronts.
-std::vector<GuardedOp> greedy(const std::vector<Thread>& threads,
-                              const ir::CostModel& cost, std::size_t guard_bits) {
-  std::vector<std::size_t> pos(threads.size(), 0);
-  std::vector<GuardedOp> out;
-  for (;;) {
-    // Gather distinct front instructions with their matching thread sets.
-    std::map<InstrKey, std::pair<DynBitset, std::size_t>> fronts;  // guard, count
-    const ir::Instr* sample[1] = {nullptr};
-    std::map<InstrKey, ir::Instr> instr_of;
-    bool any = false;
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-      if (pos[t] >= threads[t].body->size()) continue;
-      any = true;
-      const ir::Instr& in = (*threads[t].body)[pos[t]];
-      auto key = instr_key(in);
-      auto it = fronts.find(key);
-      if (it == fronts.end()) {
-        DynBitset g(guard_bits);
-        g.set(threads[t].key);
-        fronts.emplace(key, std::make_pair(std::move(g), std::size_t{1}));
-        instr_of.emplace(key, in);
-      } else {
-        it->second.first.set(threads[t].key);
-        ++it->second.second;
-      }
-    }
-    (void)sample;
-    if (!any) break;
-    // Pick the front with the largest saved cost (count-1)·cost; ties go to
-    // higher thread count, then map order (deterministic by instr key).
-    const InstrKey* best = nullptr;
-    std::int64_t best_saved = -1;
-    std::size_t best_count = 0;
-    for (const auto& [key, gc] : fronts) {
-      std::int64_t saved =
-          static_cast<std::int64_t>(gc.second - 1) * cost.instr_cost(instr_of.at(key));
-      if (saved > best_saved || (saved == best_saved && gc.second > best_count)) {
-        best = &key;
-        best_saved = saved;
-        best_count = gc.second;
-      }
-    }
-    const auto& chosen = fronts.at(*best);
-    out.push_back({chosen.first, instr_of.at(*best)});
-    for (std::size_t t = 0; t < threads.size(); ++t) {
-      if (pos[t] >= threads[t].body->size()) continue;
-      if (instr_key((*threads[t].body)[pos[t]]) == *best) ++pos[t];
-    }
-  }
-  return out;
-}
-
 /// Optimal (min-cost) merge of two already-guarded sequences: weighted
 /// shortest common supersequence by dynamic programming.
 std::vector<GuardedOp> merge_pair(const std::vector<GuardedOp>& a,
@@ -129,18 +76,12 @@ std::vector<GuardedOp> progressive_in_order(const std::vector<const Thread*>& or
                                             const ir::CostModel& cost,
                                             std::size_t guard_bits) {
   std::vector<GuardedOp> acc;
-  bool first = true;
   for (const Thread* t : order) {
     std::vector<GuardedOp> cur;
     DynBitset g(guard_bits);
     g.set(t->key);
     for (const ir::Instr& in : *t->body) cur.push_back({g, in});
-    if (first) {
-      acc = std::move(cur);
-      first = false;
-    } else {
-      acc = merge_pair(acc, cur, cost);
-    }
+    acc = merge_pair(acc, cur, cost);
   }
   return acc;
 }
@@ -219,53 +160,30 @@ CsiResult induce(const std::vector<Thread>& threads, const ir::CostModel& cost,
   // Class lower bound: each distinct instruction must appear at least
   // max-per-thread times; also no schedule is shorter than its longest
   // thread (§3.1's "theoretical lower bound on execution time").
-  std::map<InstrKey, std::pair<std::int64_t, ir::Instr>> max_count;
+  std::map<InstrKey, std::int64_t> class_cost;  // max over threads
   std::int64_t longest_thread = 0;
   for (const Thread& t : threads) {
     std::map<InstrKey, std::int64_t> local;
     std::int64_t tc = 0;
     for (const ir::Instr& in : *t.body) {
-      ++local[instr_key(in)];
+      local[instr_key(in)] += cost.instr_cost(in);
       tc += cost.instr_cost(in);
     }
     longest_thread = std::max(longest_thread, tc);
-    for (const auto& [key, count] : local) {
-      auto it = max_count.find(key);
-      if (it == max_count.end()) {
-        // Recover an instruction for costing purposes.
-        for (const ir::Instr& in : *t.body)
-          if (instr_key(in) == key) {
-            max_count.emplace(key, std::make_pair(count, in));
-            break;
-          }
-      } else {
-        it->second.first = std::max(it->second.first, count);
-      }
-    }
+    for (const auto& [key, c] : local)
+      class_cost[key] = std::max(class_cost[key], c);
   }
   std::int64_t class_bound = 0;
-  for (const auto& [key, cc] : max_count)
-    class_bound += cc.first * cost.instr_cost(cc.second);
+  for (const auto& [key, c] : class_cost) class_bound += c;
   res.lower_bound = std::max(class_bound, longest_thread);
 
   switch (options.algorithm) {
     case Algorithm::Serialize:
       res.schedule = serialize(threads, bits);
       break;
-    case Algorithm::Greedy:
-      res.schedule = greedy(threads, cost, bits);
-      break;
     case Algorithm::Progressive:
       res.schedule = progressive(threads, cost, bits);
       break;
-    case Algorithm::Best: {
-      auto g = greedy(threads, cost, bits);
-      auto p = progressive(threads, cost, bits);
-      res.schedule = schedule_cost(g, cost) <= schedule_cost(p, cost)
-                         ? std::move(g)
-                         : std::move(p);
-      break;
-    }
   }
   res.induced_cost = schedule_cost(res.schedule, cost);
   for (const GuardedOp& op : res.schedule)

@@ -27,20 +27,18 @@ struct Thread {
 
 enum class Algorithm : std::uint8_t {
   /// No induction: threads serialized one after another (the naive SIMD
-  /// coding CSI improves upon).
+  /// coding CSI improves upon; §3.1's ablation baseline).
   Serialize,
-  /// Cost-weighted majority merge: repeatedly emit the instruction shared
-  /// by the most thread fronts.
-  Greedy,
-  /// Progressive pairwise optimal merges (dynamic programming over thread
-  /// pairs) — our stand-in for the paper's permutation-in-range search.
+  /// Progressive pairwise induction (default): fold the threads into one
+  /// schedule by a weighted shortest-common-supersequence DP, one thread
+  /// at a time, and keep the cheapest of three merge orders (id order,
+  /// longest first, reversed). Exactly optimal for two threads; our
+  /// stand-in for the paper's permutation-in-range search.
   Progressive,
-  /// Run Greedy and Progressive, keep the cheaper schedule (default).
-  Best,
 };
 
 struct CsiOptions {
-  Algorithm algorithm = Algorithm::Best;
+  Algorithm algorithm = Algorithm::Progressive;
   /// Guard-bitset width (number of MIMD states in the graph).
   std::size_t guard_bits = 0;
 };
@@ -58,7 +56,10 @@ struct CsiResult {
 /// threads are factored into one broadcast. Each thread's projection of
 /// the schedule (ops whose guard contains the thread key) is exactly its
 /// original body, in order — threads have no cross dependencies, so any
-/// interleaving is legal; only intra-thread order is fixed.
+/// interleaving is legal; only intra-thread order is fixed. The schedule
+/// comes from `options.algorithm`; `lower_bound` is the larger of the
+/// class bound (each distinct instruction at least as often as any one
+/// thread needs it) and the costliest single thread.
 CsiResult induce(const std::vector<Thread>& threads, const ir::CostModel& cost,
                  const CsiOptions& options);
 

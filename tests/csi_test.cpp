@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "msc/csi/csi.hpp"
 #include "msc/support/rng.hpp"
 
@@ -15,7 +18,7 @@ ir::CostModel kCost;
 std::vector<Instr> body(std::initializer_list<Instr> instrs) { return instrs; }
 
 CsiResult run(const std::vector<std::vector<Instr>>& bodies,
-              Algorithm alg = Algorithm::Best) {
+              Algorithm alg = Algorithm::Progressive) {
   std::vector<Thread> threads;
   for (std::size_t i = 0; i < bodies.size(); ++i)
     threads.push_back({i, &bodies[i]});
@@ -116,11 +119,11 @@ TEST(Csi, LowerBoundCountsRepeatsPerThread) {
 }
 
 TEST(Csi, CostWeightedChoicePrefersExpensiveSharing) {
-  // Greedy should prefer merging the expensive Div over a cheap Push when
-  // both are available fronts.
+  // The shared expensive Div is emitted once, ahead of the unshareable
+  // cheap Pushes.
   auto a = body({Instr::of(Opcode::Div), Instr::push_i(1)});
   auto b = body({Instr::of(Opcode::Div), Instr::push_i(2)});
-  auto res = run({a, b}, Algorithm::Greedy);
+  auto res = run({a, b});
   ASSERT_FALSE(res.schedule.empty());
   EXPECT_EQ(res.schedule[0].instr.op, Opcode::Div);
   EXPECT_EQ(res.schedule[0].guard.count(), 2u);
@@ -145,8 +148,7 @@ TEST(Csi, RandomizedSchedulesAlwaysValidAndBounded) {
       }
       bodies.push_back(std::move(b));
     }
-    for (Algorithm alg :
-         {Algorithm::Greedy, Algorithm::Progressive, Algorithm::Best}) {
+    for (Algorithm alg : {Algorithm::Serialize, Algorithm::Progressive}) {
       run(bodies, alg);  // run() asserts validity and cost bounds
     }
   }
@@ -157,9 +159,66 @@ TEST(Csi, ProgressiveIsOptimalForTwoThreads) {
   // the known SCS of a small instance.
   auto a = body({Instr::push_i(1), Instr::of(Opcode::Add), Instr::push_i(2)});
   auto b = body({Instr::of(Opcode::Add), Instr::push_i(2), Instr::push_i(1)});
-  auto res = run({a, b}, Algorithm::Progressive);
+  auto res = run({a, b});
   // SCS of [1,A,2] and [A,2,1] is [1,A,2,1] (length 4).
   EXPECT_EQ(res.schedule.size(), 4u);
+}
+
+namespace {
+
+/// Cost of the cheapest legal merge of a[i..] and b[j..], found by
+/// enumerating every one: each step emits a's next op alone, b's next op
+/// alone, or — when they are the same instruction — one op shared by
+/// both. Every complete merge is checked with schedule_valid.
+std::int64_t min_merge_cost(const std::vector<Thread>& threads,
+                            std::size_t i, std::size_t j,
+                            std::vector<GuardedOp>& prefix) {
+  const std::vector<Instr>& a = *threads[0].body;
+  const std::vector<Instr>& b = *threads[1].body;
+  if (i == a.size() && j == b.size()) {
+    EXPECT_TRUE(schedule_valid(prefix, threads));
+    return schedule_cost(prefix, kCost);
+  }
+  std::int64_t best = std::numeric_limits<std::int64_t>::max();
+  auto emit = [&](std::initializer_list<std::size_t> keys, const Instr& in,
+                  std::size_t ni, std::size_t nj) {
+    DynBitset g(2);
+    for (std::size_t k : keys) g.set(k);
+    prefix.push_back({g, in});
+    best = std::min(best, min_merge_cost(threads, ni, nj, prefix));
+    prefix.pop_back();
+  };
+  if (i < a.size()) emit({0}, a[i], i + 1, j);
+  if (j < b.size()) emit({1}, b[j], i, j + 1);
+  if (i < a.size() && j < b.size() && a[i] == b[j])
+    emit({0, 1}, a[i], i + 1, j + 1);
+  return best;
+}
+
+}  // namespace
+
+TEST(Csi, ProgressiveMatchesExhaustiveMergeForTwoThreads) {
+  Rng rng(17);
+  for (int trial = 0; trial < 250; ++trial) {
+    std::vector<std::vector<Instr>> bodies(2);
+    for (auto& b : bodies) {
+      std::size_t len = rng.next_below(6);
+      for (std::size_t i = 0; i < len; ++i) {
+        switch (rng.next_below(6)) {
+          case 0: b.push_back(Instr::push_i(rng.next_range(0, 2))); break;
+          case 1: b.push_back(Instr::of(Opcode::Add)); break;
+          case 2: b.push_back(Instr::of(Opcode::Mul)); break;
+          case 3: b.push_back(Instr::of(Opcode::Div)); break;
+          case 4: b.push_back(Instr::of(Opcode::LdL)); break;
+          default: b.push_back(Instr::of(Opcode::StL)); break;
+        }
+      }
+    }
+    std::vector<Thread> threads{{0, &bodies[0]}, {1, &bodies[1]}};
+    std::vector<GuardedOp> prefix;
+    const std::int64_t optimum = min_merge_cost(threads, 0, 0, prefix);
+    EXPECT_EQ(run(bodies).induced_cost, optimum) << "trial " << trial;
+  }
 }
 
 TEST(Csi, OrderSearchNeverWorseThanAnySingleOrder) {
@@ -169,7 +228,7 @@ TEST(Csi, OrderSearchNeverWorseThanAnySingleOrder) {
                  Instr::of(Opcode::LdL), Instr::of(Opcode::StL)});
   auto b = body({Instr::of(Opcode::Add), Instr::of(Opcode::Mul)});
   auto c = body({Instr::of(Opcode::LdL), Instr::of(Opcode::StL)});
-  auto res = run({b, c, a}, Algorithm::Progressive);
+  auto res = run({b, c, a});
   // Optimal: schedule a's body once, shared with b's prefix and c's
   // suffix → 4 ops.
   EXPECT_EQ(res.schedule.size(), 4u);

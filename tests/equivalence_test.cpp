@@ -44,17 +44,25 @@ TEST_P(EquivalenceTest, SimdMatchesOracle) {
   config.nprocs = 8;
   if (c.kernel == "spawn_tree") config.initial_active = 2;
 
+  // Both §3.1 codings — CSI on (the default) and naive serialization —
+  // must reproduce the oracle.
+  codegen::CodegenOptions serialized;
+  serialized.use_csi = false;
   for (std::uint64_t seed : {1ull, 7ull, 42ull}) {
     auto oracle = driver::run_oracle(compiled, config, seed);
-    auto simd = driver::run_simd(compiled, conversion, config, seed, cost);
-    if (k.per_pe_deterministic) {
-      EXPECT_TRUE(oracle == simd)
-          << "seed " << seed << "\noracle: " << oracle.to_string()
-          << "\nsimd:   " << simd.to_string();
-    } else {
-      EXPECT_TRUE(oracle.equivalent_unordered(simd))
-          << "seed " << seed << "\noracle: " << oracle.to_string()
-          << "\nsimd:   " << simd.to_string();
+    for (const codegen::CodegenOptions& cg :
+         {codegen::CodegenOptions{}, serialized}) {
+      auto simd = driver::run_simd(compiled, conversion, config, seed, cost, cg);
+      const char* coding = cg.use_csi ? "csi" : "serialized";
+      if (k.per_pe_deterministic) {
+        EXPECT_TRUE(oracle == simd)
+            << "seed " << seed << " (" << coding << ")\noracle: "
+            << oracle.to_string() << "\nsimd:   " << simd.to_string();
+      } else {
+        EXPECT_TRUE(oracle.equivalent_unordered(simd))
+            << "seed " << seed << " (" << coding << ")\noracle: "
+            << oracle.to_string() << "\nsimd:   " << simd.to_string();
+      }
     }
   }
 }
