@@ -301,11 +301,7 @@ struct Hasher {
   }
   void mix_value(const Value& v) {
     mix(static_cast<std::uint64_t>(v.kind));
-    mix(static_cast<std::uint64_t>(v.i));
-    std::uint64_t f;
-    static_assert(sizeof f == sizeof v.f);
-    __builtin_memcpy(&f, &v.f, sizeof f);
-    mix(f);
+    mix(static_cast<std::uint64_t>(v.bits()));
   }
   Key key() const { return {a, b}; }
 };

@@ -1,6 +1,5 @@
 #include "msc/core/serialize.hpp"
 
-#include <bit>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -98,10 +97,13 @@ std::string serialize(const Module& module) {
        << " " << (b.barrier_wait ? 1 : 0);
     if (!b.label.empty()) os << " " << b.label;  // labels have no spaces
     os << "\n";
+    // One field per payload kind; the one the kind does not use is 0.
     for (const ir::Instr& in : b.body)
       os << "instr " << b.id << " " << static_cast<int>(in.op) << " "
-         << static_cast<int>(in.imm.kind) << " " << in.imm.i << " "
-         << std::bit_cast<std::uint64_t>(in.imm.f) << "\n";
+         << static_cast<int>(in.imm.kind) << " "
+         << (in.imm.is_int() ? in.imm.i : 0) << " "
+         << (in.imm.is_float() ? static_cast<std::uint64_t>(in.imm.bits()) : 0)
+         << "\n";
   }
 
   const MetaAutomaton& a = module.automaton;
@@ -170,11 +172,18 @@ Module deserialize(const std::string& text) {
       if (f.size() != 6) fail(ln, "short 'instr' record");
       std::size_t id = static_cast<std::size_t>(to_u64(f[1], ln));
       if (id >= nblocks) fail(ln, "instr block id out of range");
-      ir::Instr in;
-      in.op = static_cast<ir::Opcode>(to_i64(f[2], ln));
-      in.imm.kind = static_cast<Value::Kind>(to_i64(f[3], ln));
-      in.imm.i = to_i64(f[4], ln);
-      in.imm.f = std::bit_cast<double>(to_u64(f[5], ln));
+      const std::int64_t op = to_i64(f[2], ln), kind = to_i64(f[3], ln);
+      if (op < 0 || op > static_cast<std::int64_t>(ir::Opcode::NProcs))
+        fail(ln, cat("unknown opcode ", op));
+      if (kind != 0 && kind != 1) fail(ln, cat("unknown value kind ", kind));
+      const bool is_int = static_cast<Value::Kind>(kind) == Value::Kind::Int;
+      const std::int64_t int_field = to_i64(f[4], ln);
+      const auto float_field = static_cast<std::int64_t>(to_u64(f[5], ln));
+      if ((is_int ? float_field : int_field) != 0)
+        fail(ln, "nonzero payload in the field the value kind does not use");
+      const ir::Instr in{static_cast<ir::Opcode>(op),
+                         Value::from_bits(static_cast<Value::Kind>(kind),
+                                          is_int ? int_field : float_field)};
       mod.graph.at(static_cast<ir::StateId>(id)).body.push_back(in);
     } else if (f[0] == "automaton") {
       if (f.size() != 5) fail(ln, "short 'automaton' record");

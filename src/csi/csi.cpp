@@ -1,7 +1,6 @@
 #include "msc/csi/csi.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -10,11 +9,11 @@ namespace msc::csi {
 
 namespace {
 
-using InstrKey = std::tuple<std::uint8_t, std::uint8_t, std::int64_t, std::uint64_t>;
+using InstrKey = std::tuple<std::uint8_t, std::uint8_t, std::int64_t>;
 
 InstrKey instr_key(const ir::Instr& in) {
   return {static_cast<std::uint8_t>(in.op), static_cast<std::uint8_t>(in.imm.kind),
-          in.imm.i, std::bit_cast<std::uint64_t>(in.imm.f)};
+          in.imm.bits()};
 }
 
 std::vector<GuardedOp> serialize(const std::vector<Thread>& threads,

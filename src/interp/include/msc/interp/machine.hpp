@@ -22,7 +22,9 @@ enum class Dispatch : std::uint8_t {
 };
 
 /// The flattened "MIMD instruction set" image placed in every PE's local
-/// memory. Each instruction occupies three cells: [opcode, argA, argB].
+/// memory. Each instruction occupies three cells: [opcode, argA, argB]. A
+/// push carries its immediate in argA as Value::bits, read back by opcode
+/// (PushF's word is a double's bit pattern).
 struct InterpImage {
   /// One interpreter opcode per ir::Opcode, plus control pseudo-ops.
   enum Op : std::int64_t {
@@ -35,7 +37,6 @@ struct InterpImage {
 
   std::vector<std::int64_t> words;        ///< 3 cells per instruction
   std::vector<std::int64_t> block_entry;  ///< MIMD state id → word index
-  std::vector<double> fwords;             ///< float payloads (parallel array)
   std::int64_t entry = 0;
 
   std::size_t instr_count() const { return words.size() / 3; }
@@ -106,7 +107,7 @@ class InterpMachine : public ir::MemoryBus {
   bool alive(const Pe& pe) const { return pe.pc >= 0; }
   void step();
   void exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
-                std::int64_t b, double f);
+                std::int64_t b);
   void check_local(std::int64_t proc, std::int64_t addr) const;
 
   const ir::StateGraph& graph_;

@@ -45,32 +45,31 @@ InterpImage assemble(const ir::StateGraph& graph) {
   }
   img.words.reserve(static_cast<std::size_t>(word));
 
-  auto emit = [&](std::int64_t op, std::int64_t a, std::int64_t b, double f) {
+  auto emit = [&](std::int64_t op, std::int64_t a, std::int64_t b) {
     img.words.push_back(op);
     img.words.push_back(a);
     img.words.push_back(b);
-    img.fwords.push_back(f);
   };
 
   // Pass 2: code.
   for (const ir::Block& b : graph.blocks) {
     for (const ir::Instr& in : b.body)
-      emit(op_word(in.op), in.imm.i, 0, in.imm.f);
-    if (b.barrier_wait) emit(InterpImage::kWait, 0, 0, 0.0);
+      emit(op_word(in.op), in.imm.bits(), 0);
+    if (b.barrier_wait) emit(InterpImage::kWait, 0, 0);
     switch (b.exit) {
       case ExitKind::Halt:
-        emit(InterpImage::kHalt, 0, 0, 0.0);
+        emit(InterpImage::kHalt, 0, 0);
         break;
       case ExitKind::Jump:
-        emit(InterpImage::kJump, img.block_entry[b.target], 0, 0.0);
+        emit(InterpImage::kJump, img.block_entry[b.target], 0);
         break;
       case ExitKind::Branch:
         emit(InterpImage::kJumpF, img.block_entry[b.target],
-             img.block_entry[b.alt], 0.0);
+             img.block_entry[b.alt]);
         break;
       case ExitKind::Spawn:
-        emit(InterpImage::kSpawn, img.block_entry[b.target], 0, 0.0);
-        emit(InterpImage::kJump, img.block_entry[b.alt], 0, 0.0);
+        emit(InterpImage::kSpawn, img.block_entry[b.target], 0);
+        emit(InterpImage::kJump, img.block_entry[b.alt], 0);
         break;
     }
   }
@@ -135,12 +134,13 @@ void InterpMachine::route_store(std::int64_t proc, std::int64_t addr, Value v) {
 }
 
 void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
-                             std::int64_t b, double f) {
+                             std::int64_t b) {
   Pe& pe = pes_[static_cast<std::size_t>(pid)];
   if (op < 1000) {
     ir::Instr in;
     in.op = static_cast<Opcode>(op);
-    in.imm = in.op == Opcode::PushF ? Value::of_float(f) : Value::of_int(a);
+    in.imm = Value::from_bits(
+        in.op == Opcode::PushF ? Value::Kind::Float : Value::Kind::Int, a);
     ir::PeContext ctx{pe.local.view(), &pe.stack, pid, config_.nprocs};
     ir::exec_instr(in, ctx, *this);
     pe.pc += 3;
@@ -232,8 +232,7 @@ void InterpMachine::step() {
       std::size_t w = static_cast<std::size_t>(pe.pc);
       if (image_.words[w] != op) continue;
       stats_.busy_pe_cycles += c;
-      exec_one(pid, op, image_.words[w + 1], image_.words[w + 2],
-               image_.fwords[w / 3]);
+      exec_one(pid, op, image_.words[w + 1], image_.words[w + 2]);
     }
   };
 

@@ -84,8 +84,7 @@ Value arith(Opcode op, const Value& a, const Value& b) {
 void SoaLocal::assign(std::int64_t cells) {
   const auto n = static_cast<std::size_t>(cells);
   tag_.assign(n, 0);
-  ival_.assign(n, 0);
-  fval_.assign(n, 0.0);
+  bits_.assign(n, 0);
   cells_ = cells;
 }
 
@@ -163,7 +162,9 @@ void exec_instr(const Instr& in, PeContext& pe, MemoryBus& bus) {
     }
     case Opcode::Neg: {
       Value a = stack_pop(st);
-      st.push_back(a.is_float() ? Value::of_float(-a.f) : Value::of_int(-a.i));
+      st.push_back(a.is_float() ? Value::of_float(-a.f)
+                                : Value::of_int(static_cast<std::int64_t>(
+                                      -static_cast<std::uint64_t>(a.i))));
       return;
     }
     case Opcode::Not: {

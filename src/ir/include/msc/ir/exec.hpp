@@ -25,36 +25,32 @@ class MemoryBus {
 };
 
 /// Structure-of-arrays window onto one PE's local memory. The backing
-/// store keeps kind tags, integer payloads and float payloads in three
-/// separate arrays so the SIMD engines can lay all PEs' copies of a
-/// variable out as one contiguous lane; `stride` is the element distance
-/// between consecutive addresses (1 for the per-PE machines, the padded
-/// lane width for the lane-major store). A default view has zero cells,
-/// so every access faults like an empty local memory.
+/// store keeps kind tags and 64-bit payloads (Value::bits) in two separate
+/// arrays so the SIMD engines can lay all PEs' copies of a variable out as
+/// one contiguous lane; `stride` is the element distance between
+/// consecutive addresses (1 for the per-PE machines, the padded lane width
+/// for the lane-major store). A default view has zero cells, so every
+/// access faults like an empty local memory.
 struct LocalView {
   std::uint8_t* tag = nullptr;
-  std::int64_t* ival = nullptr;
-  double* fval = nullptr;
+  std::int64_t* bits = nullptr;
   std::size_t stride = 1;
   std::int64_t cells = 0;
 
   Value get(std::int64_t addr) const {
-    Value v;
-    v.kind = static_cast<Value::Kind>(tag[static_cast<std::size_t>(addr) * stride]);
-    v.i = ival[static_cast<std::size_t>(addr) * stride];
-    v.f = fval[static_cast<std::size_t>(addr) * stride];
-    return v;
+    const std::size_t at = static_cast<std::size_t>(addr) * stride;
+    return Value::from_bits(static_cast<Value::Kind>(tag[at]), bits[at]);
   }
   void put(std::int64_t addr, const Value& v) {
     const std::size_t at = static_cast<std::size_t>(addr) * stride;
     tag[at] = static_cast<std::uint8_t>(v.kind);
-    ival[at] = v.i;
-    fval[at] = v.f;
+    bits[at] = v.bits();
   }
 };
 
-/// Owning stride-1 SoA local memory for the per-PE machines (MIMD oracle,
-/// interpreter); the SIMD engines use the shared lane-major store instead.
+/// Owning stride-1 SoA local memory (9 B per cell) for the per-PE machines
+/// (MIMD oracle, interpreter); the SIMD engines use the shared lane-major
+/// store instead.
 class SoaLocal {
  public:
   /// Reset to `cells` zeroed cells (Value{} == integer 0).
@@ -62,19 +58,15 @@ class SoaLocal {
   Value get(std::int64_t addr) const { return view_const().get(addr); }
   void set(std::int64_t addr, const Value& v) { view().put(addr, v); }
   std::int64_t cells() const { return cells_; }
-  LocalView view() {
-    return {tag_.data(), ival_.data(), fval_.data(), 1, cells_};
-  }
+  LocalView view() { return {tag_.data(), bits_.data(), 1, cells_}; }
 
  private:
   LocalView view_const() const {
     return {const_cast<std::uint8_t*>(tag_.data()),
-            const_cast<std::int64_t*>(ival_.data()),
-            const_cast<double*>(fval_.data()), 1, cells_};
+            const_cast<std::int64_t*>(bits_.data()), 1, cells_};
   }
   std::vector<std::uint8_t> tag_;
-  std::vector<std::int64_t> ival_;
-  std::vector<double> fval_;
+  std::vector<std::int64_t> bits_;
   std::int64_t cells_ = 0;
 };
 

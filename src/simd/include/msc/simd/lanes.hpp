@@ -4,8 +4,9 @@
 // Lane-major PE state store and whole-lane execution backend.
 //
 // The store lays every PE's copy of a local-memory cell out contiguously
-// (structure-of-arrays per variable: one kind-tag lane, one int lane, one
-// float lane per address), padded to a 64-PE boundary so enable masks are
+// (structure-of-arrays per variable: one kind-tag lane and one 64-bit
+// payload lane per address, the payload read as int64 or as a double's
+// bits by its tag), padded to a 64-PE boundary so enable masks are
 // whole 64-bit words aligned with DynBitset's backing words. The engines
 // no longer own PE memory: ReferenceSimdMachine interprets scalar PE views
 // of this store, while CodegenSimdMachine may execute each translated
@@ -48,8 +49,9 @@ inline void for_each_lane_bit(const std::uint64_t* mask, std::size_t nwords,
 }
 
 /// Owns all PE-resident state of a SIMD machine: local memories as
-/// lane-major SoA (element (addr, pe) lives at addr * width() + pe in each
-/// of the three payload arrays) plus the per-PE operand stacks. width() is
+/// lane-major SoA (element (addr, pe) lives at addr * width() + pe in both
+/// the tag array and the payload array) plus the per-PE operand stacks.
+/// A cell costs 9 B: one tag byte and one Value::bits word. width() is
 /// nprocs rounded up to a multiple of 64; the pad elements stay zeroed
 /// Value{}s and are never enabled by any mask.
 class LaneStore {
@@ -73,18 +75,15 @@ class LaneStore {
   /// Scalar window for exec_instr: base pointers pre-offset by `pe`,
   /// stride = width().
   ir::LocalView pe_view(std::int64_t pe) {
-    return {tags_.data() + pe, ints_.data() + pe, floats_.data() + pe,
+    return {tags_.data() + pe, bits_.data() + pe,
             static_cast<std::size_t>(width_), cells_};
   }
 
   std::uint8_t* tag_lane(std::int64_t addr) {
     return tags_.data() + static_cast<std::size_t>(addr * width_);
   }
-  std::int64_t* int_lane(std::int64_t addr) {
-    return ints_.data() + static_cast<std::size_t>(addr * width_);
-  }
-  double* float_lane(std::int64_t addr) {
-    return floats_.data() + static_cast<std::size_t>(addr * width_);
+  std::int64_t* payload_lane(std::int64_t addr) {
+    return bits_.data() + static_cast<std::size_t>(addr * width_);
   }
 
   std::vector<Value>& stack(std::int64_t pe) {
@@ -98,7 +97,7 @@ class LaneStore {
   void clear_pe(std::int64_t pe);
 
   /// Seed one address across all PEs from per-PE integers
-  /// (vals[0..nprocs)): one memcpy into the int lane, tag/float lanes
+  /// (vals[0..nprocs)): one memcpy into the payload lane, tag lane
   /// zeroed — byte-identical to nprocs scalar of_int stores.
   void fill_int_lane(std::int64_t addr, const std::int64_t* vals,
                      std::int64_t n);
@@ -106,8 +105,7 @@ class LaneStore {
  private:
   ir::LocalView pe_view_const(std::int64_t pe) const {
     return {const_cast<std::uint8_t*>(tags_.data()) + pe,
-            const_cast<std::int64_t*>(ints_.data()) + pe,
-            const_cast<double*>(floats_.data()) + pe,
+            const_cast<std::int64_t*>(bits_.data()) + pe,
             static_cast<std::size_t>(width_), cells_};
   }
 
@@ -115,8 +113,7 @@ class LaneStore {
   std::int64_t width_;
   std::int64_t cells_;
   std::vector<std::uint8_t> tags_;
-  std::vector<std::int64_t> ints_;
-  std::vector<double> floats_;
+  std::vector<std::int64_t> bits_;
   std::vector<std::vector<Value>> stacks_;
 };
 
@@ -176,28 +173,27 @@ struct LanePlan {
 /// Lower a translated state into one lane run per TGroup.
 LanePlan build_lane_plan(const codegen::TransState& ts);
 
-/// Elementwise kernels over whole lanes, dispatched per host ISA. Inputs
-/// are fully defined across the padded width; outputs are written fully
-/// defined (disabled elements may hold garbage values but never trap
-/// representations), and per-element results on enabled lanes are
-/// bit-identical to ir::eval_binary / the scalar unary ops. `dst` may
-/// alias `a`.
+/// Elementwise kernels over whole lanes, dispatched per host ISA. Each
+/// lane operand is a (tag, payload) pointer pair; the payload is
+/// Value::bits, an int64 or a double's bit pattern by tag. Inputs are
+/// fully defined across the padded width; outputs are written fully
+/// defined (disabled elements may hold garbage values), and per-element
+/// tags and payloads on enabled lanes are bit-identical to
+/// ir::eval_binary / the scalar unary ops. `dst` may alias `a`.
 struct LaneKernels {
   using BinFn = void (*)(ir::Opcode op, const std::uint8_t* atag,
-                         const std::int64_t* ai, const double* af,
-                         const std::uint8_t* btag, const std::int64_t* bi,
-                         const double* bf, std::uint8_t* otag,
-                         std::int64_t* oi, double* of,
-                         const std::uint64_t* mask, std::size_t n);
+                         const std::int64_t* abits, const std::uint8_t* btag,
+                         const std::int64_t* bbits, std::uint8_t* otag,
+                         std::int64_t* obits, const std::uint64_t* mask,
+                         std::size_t n);
   using BinImmFn = void (*)(ir::Opcode op, const std::uint8_t* atag,
-                            const std::int64_t* ai, const double* af,
-                            const Value& b, std::uint8_t* otag,
-                            std::int64_t* oi, double* of,
+                            const std::int64_t* abits, const Value& b,
+                            std::uint8_t* otag, std::int64_t* obits,
                             const std::uint64_t* mask, std::size_t n);
   using UnFn = void (*)(ir::Opcode op, const std::uint8_t* atag,
-                        const std::int64_t* ai, const double* af,
-                        std::uint8_t* otag, std::int64_t* oi, double* of,
-                        const std::uint64_t* mask, std::size_t n);
+                        const std::int64_t* abits, std::uint8_t* otag,
+                        std::int64_t* obits, const std::uint64_t* mask,
+                        std::size_t n);
   BinFn bin = nullptr;
   BinImmFn bin_imm = nullptr;
   UnFn un = nullptr;
@@ -236,8 +232,7 @@ class LaneExecutor {
  private:
   struct LaneBuf {
     std::vector<std::uint8_t> tag;
-    std::vector<std::int64_t> ival;
-    std::vector<double> fval;
+    std::vector<std::int64_t> bits;
   };
 
   void ensure_depth(std::int32_t depth);
@@ -246,11 +241,7 @@ class LaneExecutor {
   }
   LaneBuf& push_slot();
   Value slot_value(const LaneBuf& b, std::size_t k) const {
-    Value v;
-    v.kind = static_cast<Value::Kind>(b.tag[k]);
-    v.i = b.ival[k];
-    v.f = b.fval[k];
-    return v;
+    return Value::from_bits(static_cast<Value::Kind>(b.tag[k]), b.bits[k]);
   }
   void materialize(const std::uint64_t* mask);
 

@@ -124,7 +124,7 @@ class SimdMachine : public ir::MemoryBus {
   void poke(std::int64_t proc, std::int64_t addr, Value v);
   Value peek(std::int64_t proc, std::int64_t addr) const;
   /// Seed one local cell across all PEs from a per-PE integer vector
-  /// (vals.size() == nprocs): one memcpy into the int lane, byte-identical
+  /// (vals.size() == nprocs): one memcpy into the payload lane, byte-identical
   /// to nprocs scalar pokes of Value::of_int.
   void fill_lane(std::int64_t addr, const std::vector<std::int64_t>& vals);
   void poke_mono(std::int64_t addr, Value v);

@@ -32,25 +32,22 @@ LaneStore::LaneStore(std::int64_t nprocs, std::int64_t cells)
       width_(round_up64(nprocs < 1 ? 1 : nprocs)),
       cells_(cells),
       tags_(static_cast<std::size_t>(width_ * cells), 0),
-      ints_(static_cast<std::size_t>(width_ * cells), 0),
-      floats_(static_cast<std::size_t>(width_ * cells), 0.0),
+      bits_(static_cast<std::size_t>(width_ * cells), 0),
       stacks_(static_cast<std::size_t>(nprocs)) {}
 
 void LaneStore::clear_pe(std::int64_t pe) {
   for (std::int64_t addr = 0; addr < cells_; ++addr) {
     const std::size_t at = static_cast<std::size_t>(addr * width_ + pe);
     tags_[at] = 0;
-    ints_[at] = 0;
-    floats_[at] = 0.0;
+    bits_[at] = 0;
   }
   stacks_[static_cast<std::size_t>(pe)].clear();
 }
 
 void LaneStore::fill_int_lane(std::int64_t addr, const std::int64_t* vals,
                               std::int64_t n) {
-  std::memcpy(int_lane(addr), vals, static_cast<std::size_t>(n) * sizeof(std::int64_t));
+  std::memcpy(payload_lane(addr), vals, static_cast<std::size_t>(n) * sizeof(std::int64_t));
   std::memset(tag_lane(addr), 0, static_cast<std::size_t>(n));
-  std::fill_n(float_lane(addr), static_cast<std::size_t>(n), 0.0);
 }
 
 // ------------------------------------------------------------ plan lowering
@@ -372,8 +369,7 @@ void LaneExecutor::ensure_depth(std::int32_t depth) {
   while (static_cast<std::int32_t>(bufs_.size()) < depth) {
     LaneBuf b;
     b.tag.assign(width_, 0);
-    b.ival.assign(width_, 0);
-    b.fval.assign(width_, 0.0);
+    b.bits.assign(width_, 0);
     slot_buf_.push_back(static_cast<std::int32_t>(bufs_.size()));
     bufs_.push_back(std::move(b));
   }
@@ -393,14 +389,6 @@ void LaneExecutor::materialize(const std::uint64_t* mask) {
   depth_ = 0;
 }
 
-namespace {
-inline bool elem_truthy(const LaneExecutor* /*unused*/, const std::uint8_t* tag,
-                        const std::int64_t* iv, const double* fv,
-                        std::size_t k) {
-  return tag[k] != 0 ? fv[k] != 0.0 : iv[k] != 0;
-}
-}  // namespace
-
 void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
                        LaneHost& host) {
   // +1: the gather ops (LdDynLane/LdMDynLane/RouteLdLane) push their
@@ -414,13 +402,11 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
   };
   const auto fill_value = [&](LaneBuf& b, const Value& v) {
     std::memset(b.tag.data(), static_cast<int>(v.kind), width_);
-    std::fill_n(b.ival.data(), width_, v.i);
-    std::fill_n(b.fval.data(), width_, v.f);
+    std::fill_n(b.bits.data(), width_, v.bits());
   };
   const auto zero_buf = [&](LaneBuf& b) {
     std::memset(b.tag.data(), 0, width_);
-    std::memset(b.ival.data(), 0, width_ * sizeof(std::int64_t));
-    std::memset(b.fval.data(), 0, width_ * sizeof(double));
+    std::memset(b.bits.data(), 0, width_ * sizeof(std::int64_t));
   };
 
   for (const LOp& op : r.code) {
@@ -432,33 +418,28 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
         check_local(op.n, "local load out of range: ");
         LaneBuf& b = push_slot();
         std::memcpy(b.tag.data(), store_.tag_lane(op.n), width_);
-        std::memcpy(b.ival.data(), store_.int_lane(op.n),
+        std::memcpy(b.bits.data(), store_.payload_lane(op.n),
                     width_ * sizeof(std::int64_t));
-        std::memcpy(b.fval.data(), store_.float_lane(op.n),
-                    width_ * sizeof(double));
         break;
       }
       case LOpKind::StoreLane: {
         check_local(op.n, "local store out of range: ");
         LaneBuf& b = slot(depth_ - 1);
         std::uint8_t* tl = store_.tag_lane(op.n);
-        std::int64_t* il = store_.int_lane(op.n);
-        double* fl = store_.float_lane(op.n);
+        std::int64_t* pl = store_.payload_lane(op.n);
         for (std::size_t w = 0; w < nwords_; ++w) {
           const std::uint64_t m = mask[w];
           if (m == 0) continue;
           const std::size_t base = w * 64;
           if (m == ~std::uint64_t{0}) {
             std::memcpy(tl + base, b.tag.data() + base, 64);
-            std::memcpy(il + base, b.ival.data() + base, 64 * sizeof(std::int64_t));
-            std::memcpy(fl + base, b.fval.data() + base, 64 * sizeof(double));
+            std::memcpy(pl + base, b.bits.data() + base, 64 * sizeof(std::int64_t));
           } else {
             std::uint64_t mm = m;
             while (mm != 0) {
               const std::size_t k = base + static_cast<std::size_t>(__builtin_ctzll(mm));
               tl[k] = b.tag[k];
-              il[k] = b.ival[k];
-              fl[k] = b.fval[k];
+              pl[k] = b.bits[k];
               mm &= mm - 1;
             }
           }
@@ -485,8 +466,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
           const std::int64_t a = slot_value(addr, k).as_int();
           check_local(a, "local load out of range: ");
           dst.tag[k] = store_.tag_lane(a)[k];
-          dst.ival[k] = store_.int_lane(a)[k];
-          dst.fval[k] = store_.float_lane(a)[k];
+          dst.bits[k] = store_.payload_lane(a)[k];
         });
         std::swap(slot_buf_[static_cast<std::size_t>(depth_ - 1)],
                   slot_buf_[static_cast<std::size_t>(depth_ - 2)]);
@@ -500,8 +480,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
           const std::int64_t a = slot_value(addr, k).as_int();
           check_local(a, "local store out of range: ");
           store_.tag_lane(a)[k] = val.tag[k];
-          store_.int_lane(a)[k] = val.ival[k];
-          store_.float_lane(a)[k] = val.fval[k];
+          store_.payload_lane(a)[k] = val.bits[k];
         });
         depth_ -= 2;
         break;
@@ -513,8 +492,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
         for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
           const Value v = bus_.mono_load(slot_value(addr, k).as_int());
           dst.tag[k] = static_cast<std::uint8_t>(v.kind);
-          dst.ival[k] = v.i;
-          dst.fval[k] = v.f;
+          dst.bits[k] = v.bits();
         });
         std::swap(slot_buf_[static_cast<std::size_t>(depth_ - 1)],
                   slot_buf_[static_cast<std::size_t>(depth_ - 2)]);
@@ -539,8 +517,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
           const Value v = bus_.route_load(slot_value(proc, k).as_int(),
                                           slot_value(addr, k).as_int());
           dst.tag[k] = static_cast<std::uint8_t>(v.kind);
-          dst.ival[k] = v.i;
-          dst.fval[k] = v.f;
+          dst.bits[k] = v.bits();
         });
         std::swap(slot_buf_[static_cast<std::size_t>(depth_ - 1)],
                   slot_buf_[static_cast<std::size_t>(depth_ - 3)]);
@@ -561,31 +538,29 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
       case LOpKind::BinLane: {
         LaneBuf& b = slot(depth_ - 1);
         LaneBuf& a = slot(depth_ - 2);
-        kernels_->bin(op.instr.op, a.tag.data(), a.ival.data(), a.fval.data(),
-                      b.tag.data(), b.ival.data(), b.fval.data(), a.tag.data(),
-                      a.ival.data(), a.fval.data(), mask, width_);
+        kernels_->bin(op.instr.op, a.tag.data(), a.bits.data(), b.tag.data(),
+                      b.bits.data(), a.tag.data(), a.bits.data(), mask, width_);
         --depth_;
         break;
       }
       case LOpKind::BinImmLane: {
         LaneBuf& a = slot(depth_ - 1);
-        kernels_->bin_imm(op.instr.op, a.tag.data(), a.ival.data(),
-                          a.fval.data(), op.instr.imm, a.tag.data(),
-                          a.ival.data(), a.fval.data(), mask, width_);
+        kernels_->bin_imm(op.instr.op, a.tag.data(), a.bits.data(),
+                          op.instr.imm, a.tag.data(), a.bits.data(), mask,
+                          width_);
         break;
       }
       case LOpKind::UnLane: {
         LaneBuf& a = slot(depth_ - 1);
-        kernels_->un(op.instr.op, a.tag.data(), a.ival.data(), a.fval.data(),
-                     a.tag.data(), a.ival.data(), a.fval.data(), mask, width_);
+        kernels_->un(op.instr.op, a.tag.data(), a.bits.data(), a.tag.data(),
+                     a.bits.data(), mask, width_);
         break;
       }
       case LOpKind::DupLane: {
         LaneBuf& dst = push_slot();
         LaneBuf& src = slot(depth_ - 2);
         std::memcpy(dst.tag.data(), src.tag.data(), width_);
-        std::memcpy(dst.ival.data(), src.ival.data(), width_ * sizeof(std::int64_t));
-        std::memcpy(dst.fval.data(), src.fval.data(), width_ * sizeof(double));
+        std::memcpy(dst.bits.data(), src.bits.data(), width_ * sizeof(std::int64_t));
         break;
       }
       case LOpKind::SwapLane:
@@ -599,8 +574,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
         LaneBuf& b = push_slot();
         std::memset(b.tag.data(), 0, width_);
         for (std::size_t k = 0; k < width_; ++k)
-          b.ival[k] = static_cast<std::int64_t>(k);
-        std::memset(b.fval.data(), 0, width_ * sizeof(double));
+          b.bits[k] = static_cast<std::int64_t>(k);
         break;
       }
       case LOpKind::NProcsLane:
@@ -614,8 +588,7 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
       case LOpKind::CondSetPcLane: {
         LaneBuf& c = slot(depth_ - 1);
         for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
-          const bool t =
-              elem_truthy(this, c.tag.data(), c.ival.data(), c.fval.data(), k);
+          const bool t = slot_value(c, k).truthy();
           host.lane_set_next_pc(static_cast<std::int64_t>(k), t ? op.a : op.b);
         });
         --depth_;

@@ -12,14 +12,19 @@
 //
 // Full-width safety rules (see DESIGN.md §14):
 //  - disabled elements may hold garbage VALUES but are always initialized,
-//    so wrap-around int math and float math on them is defined;
+//    so wrap-around int math and float math on them is defined (any
+//    64-bit word is a valid int64 and, through bit_cast, a valid double);
 //  - float→int conversions never run full-width (a huge double on a
 //    disabled element would be UB), so CastI/BitNot/shift-style ops on
 //    float lanes are always masked-elementwise;
 //  - int→float conversion is defined for every int64, so Int-lane inputs
 //    may be promoted full-width;
-//  - outputs write all three arrays (tag, int, float) with the unused
-//    payload zeroed, matching Value::of_int / of_float bit patterns.
+//  - every operand is a (tag, payload) pair of lanes; the payload word is
+//    Value::bits. Float loops bit_cast each element (or reinterpret whole
+//    registers), so no double* ever aliases an int64 payload lane;
+//  - full-width outputs write the payload of every element plus one tag
+//    memset, matching Value::of_int / of_float bit patterns.
+#include <bit>
 #include <cstring>
 
 #include "msc/simd/lanes.hpp"
@@ -85,29 +90,23 @@ TagClass masked_tag_class(const std::uint8_t* tag, const std::uint64_t* mask,
   return any_float ? TagClass::Float : TagClass::Int;
 }
 
-void finish_int(std::uint8_t* otag, double* of, std::size_t n) {
-  std::memset(otag, 0, n);
-  std::memset(of, 0, n * sizeof(double));
-}
-void finish_float(std::uint8_t* otag, std::int64_t* oi, std::size_t n) {
-  std::memset(otag, 1, n);
-  std::memset(oi, 0, n * sizeof(std::int64_t));
+/// Tag a full-width result: every element Int (kWroteInt) or Float.
+void finish(int r, std::uint8_t* otag, std::size_t n) {
+  std::memset(otag, r == kWroteInt ? 0 : 1, n);
 }
 
-Value lane_value(const std::uint8_t* tag, const std::int64_t* iv,
-                 const double* fv, std::size_t k) {
-  Value v;
-  v.kind = static_cast<Value::Kind>(tag[k]);
-  v.i = iv[k];
-  v.f = fv[k];
-  return v;
+double as_f64(std::int64_t bits) { return std::bit_cast<double>(bits); }
+std::int64_t f64_bits(double v) { return std::bit_cast<std::int64_t>(v); }
+
+Value lane_value(const std::uint8_t* tag, const std::int64_t* bits,
+                 std::size_t k) {
+  return Value::from_bits(static_cast<Value::Kind>(tag[k]), bits[k]);
 }
 
-void put_value(std::uint8_t* otag, std::int64_t* oi, double* of, std::size_t k,
+void put_value(std::uint8_t* otag, std::int64_t* obits, std::size_t k,
                const Value& v) {
   otag[k] = static_cast<std::uint8_t>(v.kind);
-  oi[k] = v.i;
-  of[k] = v.f;
+  obits[k] = v.bits();
 }
 
 // ------------------------------------------------ portable full-width loops
@@ -206,24 +205,24 @@ int int_bin_go(Opcode op, GX gx, GY gy, std::int64_t* oi, std::size_t n) {
 /// lane — int64→double is defined for every value, so promotion may run
 /// full-width). Handles exactly the ops ir::arith defines on floats plus
 /// LAnd/LOr truthiness; everything else (Mod, bit ops, shifts — which
-/// convert float→int per element) reports kUnhandled.
+/// convert float→int per element) reports kUnhandled. Arithmetic writes
+/// each double's bits into `oi`, comparisons write 0/1.
 template <typename GX, typename GY>
-int float_bin_go(Opcode op, GX gx, GY gy, std::int64_t* oi, double* of,
-                 std::size_t n) {
+int float_bin_go(Opcode op, GX gx, GY gy, std::int64_t* oi, std::size_t n) {
   switch (op) {
     case Opcode::Add:
-      for (std::size_t k = 0; k < n; ++k) of[k] = gx(k) + gy(k);
+      for (std::size_t k = 0; k < n; ++k) oi[k] = f64_bits(gx(k) + gy(k));
       return kWroteFloat;
     case Opcode::Sub:
-      for (std::size_t k = 0; k < n; ++k) of[k] = gx(k) - gy(k);
+      for (std::size_t k = 0; k < n; ++k) oi[k] = f64_bits(gx(k) - gy(k));
       return kWroteFloat;
     case Opcode::Mul:
-      for (std::size_t k = 0; k < n; ++k) of[k] = gx(k) * gy(k);
+      for (std::size_t k = 0; k < n; ++k) oi[k] = f64_bits(gx(k) * gy(k));
       return kWroteFloat;
     case Opcode::Div:
       for (std::size_t k = 0; k < n; ++k) {
         const double y = gy(k);
-        of[k] = y == 0.0 ? 0.0 : gx(k) / y;
+        oi[k] = f64_bits(y == 0.0 ? 0.0 : gx(k) / y);
       }
       return kWroteFloat;
     case Opcode::Lt:
@@ -263,10 +262,11 @@ int float_bin_go(Opcode op, GX gx, GY gy, std::int64_t* oi, double* of,
 using IntBinFn = int (*)(Opcode op, const std::int64_t* a,
                          const std::int64_t* bptr, std::int64_t bimm,
                          std::int64_t* oi, std::size_t n);
-/// Full-width float×float applier, same broadcast convention.
-using FloatBinFn = int (*)(Opcode op, const double* a, const double* bptr,
-                           double bimm, std::int64_t* oi, double* of,
-                           std::size_t n);
+/// Full-width float×float applier over payload lanes holding double bits,
+/// same broadcast convention.
+using FloatBinFn = int (*)(Opcode op, const std::int64_t* a,
+                           const std::int64_t* bptr, double bimm,
+                           std::int64_t* oi, std::size_t n);
 
 int int_bin_portable(Opcode op, const std::int64_t* a,
                      const std::int64_t* bptr, std::int64_t bimm,
@@ -280,16 +280,16 @@ int int_bin_portable(Opcode op, const std::int64_t* a,
       [bimm](std::size_t) { return bimm; }, oi, n);
 }
 
-int float_bin_portable(Opcode op, const double* a, const double* bptr,
-                       double bimm, std::int64_t* oi, double* of,
+int float_bin_portable(Opcode op, const std::int64_t* a,
+                       const std::int64_t* bptr, double bimm, std::int64_t* oi,
                        std::size_t n) {
   if (bptr != nullptr)
     return float_bin_go(
-        op, [a](std::size_t k) { return a[k]; },
-        [bptr](std::size_t k) { return bptr[k]; }, oi, of, n);
+        op, [a](std::size_t k) { return as_f64(a[k]); },
+        [bptr](std::size_t k) { return as_f64(bptr[k]); }, oi, n);
   return float_bin_go(
-      op, [a](std::size_t k) { return a[k]; },
-      [bimm](std::size_t) { return bimm; }, oi, of, n);
+      op, [a](std::size_t k) { return as_f64(a[k]); },
+      [bimm](std::size_t) { return bimm; }, oi, n);
 }
 
 // ---------------------------------------------------------- AVX2 appliers
@@ -388,11 +388,12 @@ __attribute__((target("avx2"))) int int_bin_avx2(Opcode op,
   return kWroteInt;
 }
 
-__attribute__((target("avx2"))) int float_bin_avx2(Opcode op, const double* a,
-                                                   const double* bptr,
+__attribute__((target("avx2"))) int float_bin_avx2(Opcode op,
+                                                   const std::int64_t* a,
+                                                   const std::int64_t* bptr,
                                                    double bimm,
                                                    std::int64_t* oi,
-                                                   double* of, std::size_t n) {
+                                                   std::size_t n) {
   switch (op) {
     case Opcode::Add:
     case Opcode::Sub:
@@ -415,8 +416,13 @@ __attribute__((target("avx2"))) int float_bin_avx2(Opcode op, const double* a,
   const bool cmp_out = !(op == Opcode::Add || op == Opcode::Sub ||
                          op == Opcode::Mul || op == Opcode::Div);
   for (std::size_t k = 0; k < n; k += 4) {
-    const __m256d va = _mm256_loadu_pd(a + k);
-    const __m256d vb = bptr != nullptr ? _mm256_loadu_pd(bptr + k) : vimm;
+    const __m256d va = _mm256_castsi256_pd(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + k)));
+    const __m256d vb =
+        bptr != nullptr
+            ? _mm256_castsi256_pd(
+                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bptr + k)))
+            : vimm;
     if (!cmp_out) {
       __m256d vo;
       switch (op) {
@@ -430,7 +436,8 @@ __attribute__((target("avx2"))) int float_bin_avx2(Opcode op, const double* a,
           break;
         }
       }
-      _mm256_storeu_pd(of + k, vo);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(oi + k),
+                          _mm256_castpd_si256(vo));
       continue;
     }
     __m256d m;
@@ -517,8 +524,8 @@ int int_bin_neon(Opcode op, const std::int64_t* a, const std::int64_t* bptr,
   return kWroteInt;
 }
 
-int float_bin_neon(Opcode op, const double* a, const double* bptr, double bimm,
-                   std::int64_t* oi, double* of, std::size_t n) {
+int float_bin_neon(Opcode op, const std::int64_t* a, const std::int64_t* bptr,
+                   double bimm, std::int64_t* oi, std::size_t n) {
   switch (op) {
     case Opcode::Add:
     case Opcode::Sub:
@@ -527,18 +534,18 @@ int float_bin_neon(Opcode op, const double* a, const double* bptr, double bimm,
     default:
       return kUnhandled;
   }
-  (void)oi;
   const float64x2_t vimm = vdupq_n_f64(bimm);
   for (std::size_t k = 0; k < n; k += 2) {
-    const float64x2_t va = vld1q_f64(a + k);
-    const float64x2_t vb = bptr != nullptr ? vld1q_f64(bptr + k) : vimm;
+    const float64x2_t va = vreinterpretq_f64_s64(vld1q_s64(a + k));
+    const float64x2_t vb =
+        bptr != nullptr ? vreinterpretq_f64_s64(vld1q_s64(bptr + k)) : vimm;
     float64x2_t vo;
     switch (op) {
       case Opcode::Add: vo = vaddq_f64(va, vb); break;
       case Opcode::Sub: vo = vsubq_f64(va, vb); break;
       default: vo = vmulq_f64(va, vb); break;  // Mul
     }
-    vst1q_f64(of + k, vo);
+    vst1q_s64(oi + k, vreinterpretq_s64_f64(vo));
   }
   return kWroteFloat;
 }
@@ -548,49 +555,47 @@ int float_bin_neon(Opcode op, const double* a, const double* bptr, double bimm,
 // -------------------------------------------------------- shared dispatch
 
 void bin_masked_elem(Opcode op, const std::uint8_t* atag,
-                     const std::int64_t* ai, const double* af,
-                     const std::uint8_t* btag, const std::int64_t* bi,
-                     const double* bf, std::uint8_t* otag, std::int64_t* oi,
-                     double* of, const std::uint64_t* mask, std::size_t n) {
+                     const std::int64_t* abits, const std::uint8_t* btag,
+                     const std::int64_t* bbits, std::uint8_t* otag,
+                     std::int64_t* obits, const std::uint64_t* mask,
+                     std::size_t n) {
   for_each_lane_bit(mask, n / 64, [&](std::size_t k) {
-    const Value a = lane_value(atag, ai, af, k);
-    const Value b = lane_value(btag, bi, bf, k);
-    put_value(otag, oi, of, k, ir::eval_binary(op, a, b));
+    const Value a = lane_value(atag, abits, k);
+    const Value b = lane_value(btag, bbits, k);
+    put_value(otag, obits, k, ir::eval_binary(op, a, b));
   });
 }
 
 void bin_imm_masked_elem(Opcode op, const std::uint8_t* atag,
-                         const std::int64_t* ai, const double* af,
-                         const Value& b, std::uint8_t* otag, std::int64_t* oi,
-                         double* of, const std::uint64_t* mask, std::size_t n) {
+                         const std::int64_t* abits, const Value& b,
+                         std::uint8_t* otag, std::int64_t* obits,
+                         const std::uint64_t* mask, std::size_t n) {
   for_each_lane_bit(mask, n / 64, [&](std::size_t k) {
-    const Value a = lane_value(atag, ai, af, k);
-    put_value(otag, oi, of, k, ir::eval_binary(op, a, b));
+    put_value(otag, obits, k,
+              ir::eval_binary(op, lane_value(atag, abits, k), b));
   });
 }
 
-void finish(int r, std::uint8_t* otag, std::int64_t* oi, double* of,
-            std::size_t n) {
-  if (r == kWroteInt)
-    finish_int(otag, of, n);
-  else
-    finish_float(otag, oi, n);
+/// Element k of a payload lane as a double: Int lanes promote (defined
+/// for every int64), Float lanes reinterpret their bits.
+double lane_f64(TagClass c, const std::int64_t* bits, std::size_t k) {
+  return c == TagClass::Int ? static_cast<double>(bits[k]) : as_f64(bits[k]);
 }
 
 /// Lane×lane dispatch shared by every ISA table; `ibin`/`fbin` are the
 /// ISA's full-width appliers (tried first, portable loops as fallback).
-void bin_dispatch(Opcode op, const std::uint8_t* atag, const std::int64_t* ai,
-                  const double* af, const std::uint8_t* btag,
-                  const std::int64_t* bi, const double* bf, std::uint8_t* otag,
-                  std::int64_t* oi, double* of, const std::uint64_t* mask,
-                  std::size_t n, IntBinFn ibin, FloatBinFn fbin) {
+void bin_dispatch(Opcode op, const std::uint8_t* atag, const std::int64_t* abits,
+                  const std::uint8_t* btag, const std::int64_t* bbits,
+                  std::uint8_t* otag, std::int64_t* obits,
+                  const std::uint64_t* mask, std::size_t n, IntBinFn ibin,
+                  FloatBinFn fbin) {
   const TagClass ca = masked_tag_class(atag, mask, n);
   const TagClass cb =
       ca == TagClass::Mixed ? TagClass::Mixed : masked_tag_class(btag, mask, n);
   if (ca == TagClass::Int && cb == TagClass::Int) {
-    int r = ibin(op, ai, bi, 0, oi, n);
-    if (r == kUnhandled) r = int_bin_portable(op, ai, bi, 0, oi, n);
-    finish(r, otag, oi, of, n);  // every int binary op is handled
+    int r = ibin(op, abits, bbits, 0, obits, n);
+    if (r == kUnhandled) r = int_bin_portable(op, abits, bbits, 0, obits, n);
+    finish(r, otag, n);  // every int binary op is handled
     return;
   }
   if (ca != TagClass::Mixed && cb != TagClass::Mixed) {
@@ -598,199 +603,151 @@ void bin_dispatch(Opcode op, const std::uint8_t* atag, const std::int64_t* ai,
     // either_float path. Promote an Int side full-width (defined).
     int r = kUnhandled;
     if (ca == TagClass::Float && cb == TagClass::Float)
-      r = fbin(op, af, bf, 0.0, oi, of, n);
+      r = fbin(op, abits, bbits, 0.0, obits, n);
     if (r == kUnhandled)
       r = float_bin_go(
-          op,
-          [&](std::size_t k) {
-            return ca == TagClass::Int ? static_cast<double>(ai[k]) : af[k];
-          },
-          [&](std::size_t k) {
-            return cb == TagClass::Int ? static_cast<double>(bi[k]) : bf[k];
-          },
-          oi, of, n);
+          op, [&](std::size_t k) { return lane_f64(ca, abits, k); },
+          [&](std::size_t k) { return lane_f64(cb, bbits, k); }, obits, n);
     if (r != kUnhandled) {
-      finish(r, otag, oi, of, n);
+      finish(r, otag, n);
       return;
     }
   }
-  bin_masked_elem(op, atag, ai, af, btag, bi, bf, otag, oi, of, mask, n);
+  bin_masked_elem(op, atag, abits, btag, bbits, otag, obits, mask, n);
 }
 
 void bin_imm_dispatch(Opcode op, const std::uint8_t* atag,
-                      const std::int64_t* ai, const double* af, const Value& b,
-                      std::uint8_t* otag, std::int64_t* oi, double* of,
+                      const std::int64_t* abits, const Value& b,
+                      std::uint8_t* otag, std::int64_t* obits,
                       const std::uint64_t* mask, std::size_t n, IntBinFn ibin,
                       FloatBinFn fbin) {
   const TagClass ca = masked_tag_class(atag, mask, n);
   if (ca == TagClass::Int && b.is_int()) {
-    int r = ibin(op, ai, nullptr, b.i, oi, n);
-    if (r == kUnhandled) r = int_bin_portable(op, ai, nullptr, b.i, oi, n);
-    finish(r, otag, oi, of, n);
+    int r = ibin(op, abits, nullptr, b.i, obits, n);
+    if (r == kUnhandled) r = int_bin_portable(op, abits, nullptr, b.i, obits, n);
+    finish(r, otag, n);
     return;
   }
   if (ca != TagClass::Mixed) {
     const double y = b.as_double();
     int r = kUnhandled;
-    if (ca == TagClass::Float) r = fbin(op, af, nullptr, y, oi, of, n);
+    if (ca == TagClass::Float) r = fbin(op, abits, nullptr, y, obits, n);
     if (r == kUnhandled)
       r = float_bin_go(
-          op,
-          [&](std::size_t k) {
-            return ca == TagClass::Int ? static_cast<double>(ai[k]) : af[k];
-          },
-          [y](std::size_t) { return y; }, oi, of, n);
+          op, [&](std::size_t k) { return lane_f64(ca, abits, k); },
+          [y](std::size_t) { return y; }, obits, n);
     if (r != kUnhandled) {
-      finish(r, otag, oi, of, n);
+      finish(r, otag, n);
       return;
     }
   }
-  bin_imm_masked_elem(op, atag, ai, af, b, otag, oi, of, mask, n);
+  bin_imm_masked_elem(op, atag, abits, b, otag, obits, mask, n);
 }
 
 /// Unary ops; shared by every ISA table (unary lanes are rare and cheap).
-void un_portable(Opcode op, const std::uint8_t* atag, const std::int64_t* ai,
-                 const double* af, std::uint8_t* otag, std::int64_t* oi,
-                 double* of, const std::uint64_t* mask, std::size_t n) {
+void un_portable(Opcode op, const std::uint8_t* atag, const std::int64_t* abits,
+                 std::uint8_t* otag, std::int64_t* obits,
+                 const std::uint64_t* mask, std::size_t n) {
   const TagClass ca = masked_tag_class(atag, mask, n);
+  int r = kUnhandled;
   switch (op) {
     case Opcode::Neg:
       if (ca == TagClass::Int) {
         for (std::size_t k = 0; k < n; ++k)
-          oi[k] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(ai[k]));
-        finish_int(otag, of, n);
-        return;
-      }
-      if (ca == TagClass::Float) {
-        for (std::size_t k = 0; k < n; ++k) of[k] = -af[k];
-        finish_float(otag, oi, n);
-        return;
+          obits[k] = static_cast<std::int64_t>(-static_cast<std::uint64_t>(abits[k]));
+        r = kWroteInt;
+      } else if (ca == TagClass::Float) {
+        for (std::size_t k = 0; k < n; ++k) obits[k] = f64_bits(-as_f64(abits[k]));
+        r = kWroteFloat;
       }
       break;
     case Opcode::Not:
       if (ca == TagClass::Int) {
-        for (std::size_t k = 0; k < n; ++k) oi[k] = ai[k] == 0 ? 1 : 0;
-        finish_int(otag, of, n);
-        return;
-      }
-      if (ca == TagClass::Float) {
-        for (std::size_t k = 0; k < n; ++k) oi[k] = af[k] == 0.0 ? 1 : 0;
-        finish_int(otag, of, n);
-        return;
+        for (std::size_t k = 0; k < n; ++k) obits[k] = abits[k] == 0 ? 1 : 0;
+        r = kWroteInt;
+      } else if (ca == TagClass::Float) {
+        for (std::size_t k = 0; k < n; ++k)
+          obits[k] = as_f64(abits[k]) == 0.0 ? 1 : 0;
+        r = kWroteInt;
       }
       break;
     case Opcode::BitNot:
       if (ca == TagClass::Int) {
-        for (std::size_t k = 0; k < n; ++k) oi[k] = ~ai[k];
-        finish_int(otag, of, n);
-        return;
+        for (std::size_t k = 0; k < n; ++k) obits[k] = ~abits[k];
+        r = kWroteInt;
       }
       break;  // float→int conversion: masked elementwise only
     case Opcode::CastI:
       if (ca == TagClass::Int) {
-        for (std::size_t k = 0; k < n; ++k) oi[k] = ai[k];
-        finish_int(otag, of, n);
-        return;
+        for (std::size_t k = 0; k < n; ++k) obits[k] = abits[k];
+        r = kWroteInt;
       }
       break;  // float→int conversion: masked elementwise only
     case Opcode::CastF:
       if (ca == TagClass::Int) {
-        for (std::size_t k = 0; k < n; ++k) of[k] = static_cast<double>(ai[k]);
-        finish_float(otag, oi, n);
-        return;
-      }
-      if (ca == TagClass::Float) {
-        for (std::size_t k = 0; k < n; ++k) of[k] = af[k];
-        finish_float(otag, oi, n);
-        return;
+        for (std::size_t k = 0; k < n; ++k)
+          obits[k] = f64_bits(static_cast<double>(abits[k]));
+        r = kWroteFloat;
+      } else if (ca == TagClass::Float) {
+        for (std::size_t k = 0; k < n; ++k) obits[k] = abits[k];
+        r = kWroteFloat;
       }
       break;
     default:
       break;
   }
+  if (r != kUnhandled) {
+    finish(r, otag, n);
+    return;
+  }
   for_each_lane_bit(mask, n / 64, [&](std::size_t k) {
-    const Value a = lane_value(atag, ai, af, k);
-    Value r;
+    const Value a = lane_value(atag, abits, k);
+    Value v;
     switch (op) {
       case Opcode::Neg:
-        r = a.is_float() ? Value::of_float(-a.f)
+        v = a.is_float() ? Value::of_float(-a.f)
                          : Value::of_int(static_cast<std::int64_t>(
                                -static_cast<std::uint64_t>(a.i)));
         break;
-      case Opcode::Not: r = Value::of_int(!a.truthy()); break;
-      case Opcode::BitNot: r = Value::of_int(~a.as_int()); break;
-      case Opcode::CastI: r = Value::of_int(a.as_int()); break;
-      default: r = Value::of_float(a.as_double()); break;  // CastF
+      case Opcode::Not: v = Value::of_int(!a.truthy()); break;
+      case Opcode::BitNot: v = Value::of_int(~a.as_int()); break;
+      case Opcode::CastI: v = Value::of_int(a.as_int()); break;
+      default: v = Value::of_float(a.as_double()); break;  // CastF
     }
-    put_value(otag, oi, of, k, r);
+    put_value(otag, obits, k, v);
   });
 }
 
 // ------------------------------------------------------------- ISA tables
 
-void bin_portable_entry(Opcode op, const std::uint8_t* atag,
-                        const std::int64_t* ai, const double* af,
-                        const std::uint8_t* btag, const std::int64_t* bi,
-                        const double* bf, std::uint8_t* otag, std::int64_t* oi,
-                        double* of, const std::uint64_t* mask, std::size_t n) {
-  bin_dispatch(op, atag, ai, af, btag, bi, bf, otag, oi, of, mask, n,
-               int_bin_portable, float_bin_portable);
+template <IntBinFn ibin, FloatBinFn fbin>
+void bin_entry(Opcode op, const std::uint8_t* atag, const std::int64_t* abits,
+               const std::uint8_t* btag, const std::int64_t* bbits,
+               std::uint8_t* otag, std::int64_t* obits,
+               const std::uint64_t* mask, std::size_t n) {
+  bin_dispatch(op, atag, abits, btag, bbits, otag, obits, mask, n, ibin, fbin);
 }
 
-void bin_imm_portable_entry(Opcode op, const std::uint8_t* atag,
-                            const std::int64_t* ai, const double* af,
-                            const Value& b, std::uint8_t* otag,
-                            std::int64_t* oi, double* of,
-                            const std::uint64_t* mask, std::size_t n) {
-  bin_imm_dispatch(op, atag, ai, af, b, otag, oi, of, mask, n,
-                   int_bin_portable, float_bin_portable);
+template <IntBinFn ibin, FloatBinFn fbin>
+void bin_imm_entry(Opcode op, const std::uint8_t* atag,
+                   const std::int64_t* abits, const Value& b,
+                   std::uint8_t* otag, std::int64_t* obits,
+                   const std::uint64_t* mask, std::size_t n) {
+  bin_imm_dispatch(op, atag, abits, b, otag, obits, mask, n, ibin, fbin);
 }
 
+const LaneKernels kPortableKernels{
+    bin_entry<int_bin_portable, float_bin_portable>,
+    bin_imm_entry<int_bin_portable, float_bin_portable>, un_portable};
 #if defined(__x86_64__) && !defined(MSC_SIMD_ISA_SCALAR)
-void bin_avx2_entry(Opcode op, const std::uint8_t* atag, const std::int64_t* ai,
-                    const double* af, const std::uint8_t* btag,
-                    const std::int64_t* bi, const double* bf,
-                    std::uint8_t* otag, std::int64_t* oi, double* of,
-                    const std::uint64_t* mask, std::size_t n) {
-  bin_dispatch(op, atag, ai, af, btag, bi, bf, otag, oi, of, mask, n,
-               int_bin_avx2, float_bin_avx2);
-}
-
-void bin_imm_avx2_entry(Opcode op, const std::uint8_t* atag,
-                        const std::int64_t* ai, const double* af,
-                        const Value& b, std::uint8_t* otag, std::int64_t* oi,
-                        double* of, const std::uint64_t* mask, std::size_t n) {
-  bin_imm_dispatch(op, atag, ai, af, b, otag, oi, of, mask, n, int_bin_avx2,
-                   float_bin_avx2);
-}
-#endif
-
-#if defined(__aarch64__) && !defined(MSC_SIMD_ISA_SCALAR)
-void bin_neon_entry(Opcode op, const std::uint8_t* atag, const std::int64_t* ai,
-                    const double* af, const std::uint8_t* btag,
-                    const std::int64_t* bi, const double* bf,
-                    std::uint8_t* otag, std::int64_t* oi, double* of,
-                    const std::uint64_t* mask, std::size_t n) {
-  bin_dispatch(op, atag, ai, af, btag, bi, bf, otag, oi, of, mask, n,
-               int_bin_neon, float_bin_neon);
-}
-
-void bin_imm_neon_entry(Opcode op, const std::uint8_t* atag,
-                        const std::int64_t* ai, const double* af,
-                        const Value& b, std::uint8_t* otag, std::int64_t* oi,
-                        double* of, const std::uint64_t* mask, std::size_t n) {
-  bin_imm_dispatch(op, atag, ai, af, b, otag, oi, of, mask, n, int_bin_neon,
-                   float_bin_neon);
-}
-#endif
-
-const LaneKernels kPortableKernels{bin_portable_entry, bin_imm_portable_entry,
-                                   un_portable};
-#if defined(__x86_64__) && !defined(MSC_SIMD_ISA_SCALAR)
-const LaneKernels kAvx2Kernels{bin_avx2_entry, bin_imm_avx2_entry, un_portable};
+const LaneKernels kAvx2Kernels{bin_entry<int_bin_avx2, float_bin_avx2>,
+                               bin_imm_entry<int_bin_avx2, float_bin_avx2>,
+                               un_portable};
 #endif
 #if defined(__aarch64__) && !defined(MSC_SIMD_ISA_SCALAR)
-const LaneKernels kNeonKernels{bin_neon_entry, bin_imm_neon_entry, un_portable};
+const LaneKernels kNeonKernels{bin_entry<int_bin_neon, float_bin_neon>,
+                               bin_imm_entry<int_bin_neon, float_bin_neon>,
+                               un_portable};
 #endif
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef MSC_SUPPORT_VALUE_HPP
 #define MSC_SUPPORT_VALUE_HPP
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -10,19 +11,22 @@ namespace msc {
 ///
 /// MIMDC has two scalar types, `int` and `float` (paper §4.1); we widen
 /// them to int64/double so overflow in synthetic workloads is a non-issue.
-/// Cells are tagged so the oracle and the SIMD target can be compared
-/// bit-for-bit including type.
+/// A cell is a tagged union: the kind tag says which payload member is
+/// active, so the oracle and the SIMD target can be compared bit-for-bit
+/// including type. Stores that keep cells as structure-of-arrays hold a
+/// tag lane plus one 64-bit payload lane, moved through bits()/from_bits().
 struct Value {
   enum class Kind : std::uint8_t { Int, Float };
 
   Kind kind = Kind::Int;
-  std::int64_t i = 0;
-  double f = 0.0;
+  union {
+    std::int64_t i = 0;
+    double f;
+  };
 
   Value() = default;
   static Value of_int(std::int64_t v) {
     Value x;
-    x.kind = Kind::Int;
     x.i = v;
     return x;
   }
@@ -31,6 +35,14 @@ struct Value {
     x.kind = Kind::Float;
     x.f = v;
     return x;
+  }
+
+  /// The active payload as a raw 64-bit word (the double's bit pattern
+  /// for floats), and its inverse. Each reads or writes the active member
+  /// only, so no payload is ever read through the other member.
+  std::int64_t bits() const { return is_int() ? i : std::bit_cast<std::int64_t>(f); }
+  static Value from_bits(Kind kind, std::int64_t bits) {
+    return kind == Kind::Int ? of_int(bits) : of_float(std::bit_cast<double>(bits));
   }
 
   bool is_int() const { return kind == Kind::Int; }
@@ -52,6 +64,8 @@ struct Value {
 
   std::string to_string() const;
 };
+
+static_assert(sizeof(Value) == 16, "a cell is a kind tag plus one 64-bit word");
 
 }  // namespace msc
 

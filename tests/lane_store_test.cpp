@@ -1,13 +1,17 @@
 // Unit tests for the lane-major PE state store (simd/lanes.hpp) at the
 // PE counts where the 64-PE word geometry has edges — 1, 63, 64, 65,
 // 127, 1000 — plus the seeded-input regression that pins fill_int_lane
-// byte-identical to the per-PE poke path it replaced. Machine-level
+// byte-identical to the per-PE poke path it replaced, bit-exact payload
+// round trips, and the lane kernels run directly on edge values against
+// the scalar semantics. Machine-level
 // companions (tail masks never enable pad PEs, spawn free-list /
 // reuse_halted_pes on the lane store) run the real engines at the same
 // PE counts and compare scalar vs host-vector execution.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
@@ -51,19 +55,19 @@ TEST(LaneStore, AddrMajorLayoutRoundTrips) {
     for (std::int64_t pe = 0; pe < n; ++pe) {
       // Scalar view and raw lanes agree on the same element.
       EXPECT_EQ(ls.load(pe, 0).as_int(), pe * 3 + 1);
-      EXPECT_EQ(ls.int_lane(0)[pe], pe * 3 + 1);
+      EXPECT_EQ(ls.payload_lane(0)[pe], pe * 3 + 1);
       EXPECT_EQ(ls.load(pe, 2).as_double(), 0.5 * static_cast<double>(pe));
-      EXPECT_EQ(ls.float_lane(2)[pe], 0.5 * static_cast<double>(pe));
+      EXPECT_EQ(ls.payload_lane(2)[pe],
+                std::bit_cast<std::int64_t>(0.5 * static_cast<double>(pe)));
     }
     // Untouched addresses and every pad element stay default-initialized.
     for (std::int64_t pe = 0; pe < ls.width(); ++pe) {
       EXPECT_EQ(ls.tag_lane(1)[pe], ls.tag_lane(3)[pe]);
-      EXPECT_EQ(ls.int_lane(1)[pe], 0);
-      EXPECT_EQ(ls.float_lane(1)[pe], 0.0);
+      EXPECT_EQ(ls.payload_lane(1)[pe], 0);
     }
     for (std::int64_t pe = n; pe < ls.width(); ++pe) {
-      EXPECT_EQ(ls.int_lane(0)[pe], 0) << "pad lane written at pe " << pe;
-      EXPECT_EQ(ls.float_lane(2)[pe], 0.0) << "pad lane written at pe " << pe;
+      EXPECT_EQ(ls.payload_lane(0)[pe], 0) << "pad lane written at pe " << pe;
+      EXPECT_EQ(ls.payload_lane(2)[pe], 0) << "pad lane written at pe " << pe;
     }
   }
 }
@@ -82,13 +86,11 @@ TEST(LaneStore, FillIntLaneByteIdenticalToScalarStores) {
 
     const std::size_t w = static_cast<std::size_t>(bulk.width());
     EXPECT_EQ(0, std::memcmp(bulk.tag_lane(1), scalar.tag_lane(1), w));
-    EXPECT_EQ(0, std::memcmp(bulk.int_lane(1), scalar.int_lane(1),
+    EXPECT_EQ(0, std::memcmp(bulk.payload_lane(1), scalar.payload_lane(1),
                              w * sizeof(std::int64_t)));
-    EXPECT_EQ(0, std::memcmp(bulk.float_lane(1), scalar.float_lane(1),
-                             w * sizeof(double)));
     // Neighbouring lanes untouched.
     for (std::int64_t p = 0; p < bulk.width(); ++p)
-      EXPECT_EQ(bulk.int_lane(0)[p], 0);
+      EXPECT_EQ(bulk.payload_lane(0)[p], 0);
   }
 }
 
@@ -107,6 +109,44 @@ TEST(LaneStore, ClearPeResetsOneColumnOnly) {
   }
 }
 
+const double kNaN = std::bit_cast<double>(std::int64_t{0x7ff800000000beef});
+
+bool same_bits(const Value& a, const Value& b) {
+  return a.kind == b.kind && a.bits() == b.bits();
+}
+
+TEST(LaneStore, PayloadBitsRoundTripExactly) {
+  // -0.0 == 0.0 and NaN != NaN under Value::operator==, so compare the
+  // tag and the raw payload word instead.
+  const Value edge[] = {Value::of_float(-0.0), Value::of_float(kNaN),
+                        Value::of_int(std::numeric_limits<std::int64_t>::min()),
+                        Value::of_float(1e300)};
+  LaneStore ls(65, 4);
+  ir::SoaLocal soa;
+  soa.assign(4);
+  for (std::int64_t pe = 0; pe < 65; ++pe)
+    for (std::int64_t a = 0; a < 4; ++a) ls.store(pe, a, edge[(pe + a) % 4]);
+  for (std::int64_t a = 0; a < 4; ++a) soa.set(a, edge[a]);
+  for (std::int64_t a = 0; a < 4; ++a) {
+    SCOPED_TRACE(a);
+    EXPECT_TRUE(same_bits(soa.get(a), edge[a]));
+    for (std::int64_t pe = 0; pe < 65; ++pe)
+      EXPECT_TRUE(same_bits(ls.load(pe, a), edge[(pe + a) % 4])) << "pe " << pe;
+  }
+  EXPECT_EQ(ls.tag_lane(0)[0], 1);
+  EXPECT_EQ(ls.payload_lane(0)[0], std::bit_cast<std::int64_t>(-0.0));
+  EXPECT_EQ(ls.payload_lane(1)[0], std::bit_cast<std::int64_t>(kNaN));
+
+  ls.clear_pe(64);
+  soa.assign(4);
+  for (std::int64_t a = 0; a < 4; ++a) {
+    EXPECT_TRUE(same_bits(ls.load(64, a), Value{}));
+    EXPECT_TRUE(same_bits(soa.get(a), Value{}));
+    EXPECT_TRUE(same_bits(ls.load(63, a), edge[(63 + a) % 4]))
+        << "neighbour clobbered";
+  }
+}
+
 TEST(LaneStore, StacksAreIndependentPerPe) {
   LaneStore ls(127, 1);
   for (std::int64_t pe = 0; pe < 127; ++pe)
@@ -115,6 +155,177 @@ TEST(LaneStore, StacksAreIndependentPerPe) {
   for (std::int64_t pe = 0; pe < 127; ++pe) {
     ASSERT_EQ(ls.stack(pe).size(), static_cast<std::size_t>(pe % 3 + 1));
     EXPECT_EQ(ls.stack(pe).back().as_int(), pe * 10 + pe % 3);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The lane kernels called directly on 128-wide lanes under a partial mask:
+// every enabled element's tag and payload must equal ir::eval_binary (or
+// exec_instr for unary ops) on the same Values. Word 0 of the mask is full
+// (the eight-tags-at-a-time classifier), word 1 is sparse (the per-bit
+// path). Disabled elements hold 1e300, which no kernel may convert to int.
+
+using ir::Opcode;
+
+constexpr std::size_t kLaneWidth = 128;
+const std::uint64_t kMask[2] = {~std::uint64_t{0}, 0x8421f0f05555f00full};
+
+bool enabled(std::size_t k) { return ((kMask[k / 64] >> (k % 64)) & 1) != 0; }
+
+struct Lane {
+  std::vector<std::uint8_t> tag = std::vector<std::uint8_t>(kLaneWidth, 0x5a);
+  std::vector<std::int64_t> bits = std::vector<std::int64_t>(kLaneWidth, 0x5a5a);
+  Value at(std::size_t k) const {
+    return Value::from_bits(static_cast<Value::Kind>(tag[k]), bits[k]);
+  }
+  void put(std::size_t k, const Value& v) {
+    tag[k] = static_cast<std::uint8_t>(v.kind);
+    bits[k] = v.bits();
+  }
+};
+
+enum class Fill { Int, Float, Mixed };
+
+/// Ops whose scalar semantics convert a float operand to int; their float
+/// inputs must stay in int64 range (out of range is UB in the reference).
+bool converts_float(Opcode op) {
+  switch (op) {
+    case Opcode::BitAnd: case Opcode::BitOr: case Opcode::BitXor:
+    case Opcode::Shl: case Opcode::Shr: case Opcode::BitNot: case Opcode::CastI:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Operand a walks the value lists by k % 10, operand b by k / 10, so the
+/// fully enabled first word pairs every a value with the first seven b
+/// values (the divisors 0 and -1 and INT64_MIN among them).
+Lane make_lane(Fill fill, bool convertible, bool operand_b) {
+  const std::int64_t ints[] = {0, -1, std::numeric_limits<std::int64_t>::min(),
+                               1, std::numeric_limits<std::int64_t>::max(),
+                               7, -3, 63, 64, 42};
+  const std::vector<double> floats =
+      convertible ? std::vector<double>{-0.0, 0.0, 2.5, -7.75, 1e15, -1e15, 3.0}
+                  : std::vector<double>{0.0, -0.0, kNaN, 1e300, -1e300, 2.5, -7.75};
+  Lane l;
+  for (std::size_t k = 0; k < kLaneWidth; ++k) {
+    if (!enabled(k)) {
+      l.put(k, Value::of_float(1e300));
+      continue;
+    }
+    const std::size_t idx = operand_b ? k / 10 : k % 10;
+    const bool is_float =
+        fill == Fill::Float || (fill == Fill::Mixed && (k + operand_b) % 3 == 0);
+    l.put(k, is_float ? Value::of_float(floats[idx % floats.size()])
+                      : Value::of_int(ints[idx % 10]));
+  }
+  return l;
+}
+
+template <typename Want>
+void expect_lane(const Lane& out, Want want) {
+  for (std::size_t k = 0; k < kLaneWidth; ++k) {
+    if (!enabled(k)) continue;
+    const Value w = want(k);
+    ASSERT_EQ(out.tag[k], static_cast<std::uint8_t>(w.kind)) << "element " << k;
+    ASSERT_EQ(out.bits[k], w.bits()) << "element " << k << ": got "
+                                     << out.at(k).to_string() << ", want "
+                                     << w.to_string();
+  }
+}
+
+struct NoBus final : ir::MemoryBus {
+  Value mono_load(std::int64_t) override { throw ir::MachineFault("bus"); }
+  void mono_store(std::int64_t, Value) override { throw ir::MachineFault("bus"); }
+  Value route_load(std::int64_t, std::int64_t) override {
+    throw ir::MachineFault("bus");
+  }
+  void route_store(std::int64_t, std::int64_t, Value) override {
+    throw ir::MachineFault("bus");
+  }
+};
+
+Value scalar_unary(Opcode op, const Value& a) {
+  std::vector<Value> stack{a};
+  NoBus bus;
+  ir::PeContext pe{ir::LocalView{}, &stack, 0, 1};
+  ir::exec_instr(ir::Instr::of(op), pe, bus);
+  return stack.back();
+}
+
+TEST(LaneKernels, EdgeValuesMatchScalarSemantics) {
+  std::vector<SimdIsa> isas{SimdIsa::Scalar};
+  if (resolve_simd_isa(SimdIsa::Auto) != SimdIsa::Scalar)
+    isas.push_back(resolve_simd_isa(SimdIsa::Auto));
+  const Opcode bin_ops[] = {
+      Opcode::Add, Opcode::Sub,    Opcode::Mul,   Opcode::Div,    Opcode::Mod,
+      Opcode::Lt,  Opcode::Le,     Opcode::Gt,    Opcode::Ge,     Opcode::Eq,
+      Opcode::Ne,  Opcode::LAnd,   Opcode::LOr,   Opcode::BitAnd, Opcode::BitOr,
+      Opcode::BitXor, Opcode::Shl, Opcode::Shr};
+  const Opcode un_ops[] = {Opcode::Neg, Opcode::Not, Opcode::BitNot,
+                           Opcode::CastI, Opcode::CastF};
+  const Fill fills[] = {Fill::Int, Fill::Float, Fill::Mixed};
+  for (SimdIsa isa : isas) {
+    const simd::LaneKernels& lk = simd::lane_kernels(isa);
+    for (Opcode op : bin_ops) {
+      const bool conv = converts_float(op);
+      std::vector<Value> imms{Value::of_int(0), Value::of_int(-1),
+                              Value::of_int(std::numeric_limits<std::int64_t>::min()),
+                              Value::of_float(-0.0), Value::of_float(2.5)};
+      if (!conv) {
+        imms.push_back(Value::of_float(kNaN));
+        imms.push_back(Value::of_float(1e300));
+      }
+      for (Fill fa : fills) {
+        const Lane a = make_lane(fa, conv, false);
+        for (Fill fb : fills) {
+          SCOPED_TRACE(cat(simd_isa_name(isa), " bin ", ir::opcode_name(op),
+                           " fills ", static_cast<int>(fa), "/",
+                           static_cast<int>(fb)));
+          const Lane b = make_lane(fb, conv, true);
+          const auto want = [&](std::size_t k) {
+            return ir::eval_binary(op, a.at(k), b.at(k));
+          };
+          Lane out;
+          lk.bin(op, a.tag.data(), a.bits.data(), b.tag.data(), b.bits.data(),
+                 out.tag.data(), out.bits.data(), kMask, kLaneWidth);
+          expect_lane(out, want);
+          Lane inplace = a;  // the executor's dst == a form
+          lk.bin(op, inplace.tag.data(), inplace.bits.data(), b.tag.data(),
+                 b.bits.data(), inplace.tag.data(), inplace.bits.data(), kMask,
+                 kLaneWidth);
+          expect_lane(inplace, want);
+        }
+        for (const Value& imm : imms) {
+          SCOPED_TRACE(cat(simd_isa_name(isa), " bin_imm ", ir::opcode_name(op),
+                           " fill ", static_cast<int>(fa), " imm ",
+                           imm.to_string()));
+          Lane out;
+          lk.bin_imm(op, a.tag.data(), a.bits.data(), imm, out.tag.data(),
+                     out.bits.data(), kMask, kLaneWidth);
+          expect_lane(out, [&](std::size_t k) {
+            return ir::eval_binary(op, a.at(k), imm);
+          });
+        }
+      }
+    }
+    for (Opcode op : un_ops) {
+      for (Fill fa : fills) {
+        SCOPED_TRACE(cat(simd_isa_name(isa), " un ", ir::opcode_name(op),
+                         " fill ", static_cast<int>(fa)));
+        const Lane a = make_lane(fa, converts_float(op), false);
+        const auto want = [&](std::size_t k) { return scalar_unary(op, a.at(k)); };
+        Lane out;
+        lk.un(op, a.tag.data(), a.bits.data(), out.tag.data(), out.bits.data(),
+              kMask, kLaneWidth);
+        expect_lane(out, want);
+        Lane inplace = a;
+        lk.un(op, inplace.tag.data(), inplace.bits.data(), inplace.tag.data(),
+              inplace.bits.data(), kMask, kLaneWidth);
+        expect_lane(inplace, want);
+      }
+    }
   }
 }
 

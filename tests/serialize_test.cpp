@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "msc/core/serialize.hpp"
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
@@ -144,6 +147,19 @@ TEST(Serialize, RejectsOutOfRangeConfiguration) {
   corrupt(head, head.substr(0, head.rfind(' ')) + " 9");  // bad mode
   // Truncated stats record.
   corrupt("\nstats ", "\nstats 1 2 3\nstats9 ");
+  // "instr <block> <opcode> <kind> <int payload> <float payload bits>":
+  // an opcode past NProcs, a kind outside {Int, Float}, and a nonzero
+  // payload in the field the kind does not use.
+  std::string instr = text.substr(text.find("\ninstr ") + 1);
+  instr = instr.substr(0, instr.find('\n'));
+  std::istringstream fields(instr);
+  std::string tag, block, op, kind, ipay, fpay;
+  fields >> tag >> block >> op >> kind >> ipay >> fpay;
+  const std::string pre = "instr " + block + " ";
+  corrupt(instr, pre + "200 " + kind + " " + ipay + " " + fpay);
+  corrupt(instr, pre + op + " 7 " + ipay + " " + fpay);
+  corrupt(instr, pre + op + " 0 " + ipay + " 1");
+  corrupt(instr, pre + op + " 1 5 0");
 }
 
 TEST(Serialize, CommentsAndBlankLinesIgnored) {
