@@ -179,7 +179,7 @@ class Generator {
       distinct.insert(f);
     }
     if (distinct.size() == folds.size()) {
-      mc.sw = hash::build_switch(folds, opts_.hash_options);
+      mc.sw = hash::build_switch(folds);
     } else {
       // >64 MIMD states with colliding folds: fall back to a compare
       // chain; the executor verifies exact keys either way.

@@ -99,7 +99,6 @@ struct CodegenOptions {
   /// §3.1: run common subexpression induction (csi::Algorithm::Progressive)
   /// per meta state. Off = naive serialization (the ablation baseline).
   bool use_csi = true;
-  hash::SearchOptions hash_options;
 };
 
 /// Generate the SIMD coding of `automaton` over its (possibly time-split)

@@ -82,6 +82,8 @@ InterpMachine::InterpMachine(const ir::StateGraph& graph, const ir::CostModel& c
     : graph_(graph), cost_(cost), config_(config), dispatch_(dispatch),
       image_(assemble(graph)) {
   if (config_.nprocs <= 0) throw MachineFault("nprocs must be positive");
+  if (config_.active() > config_.nprocs)
+    throw MachineFault("initial_active exceeds nprocs");
   pes_.resize(static_cast<std::size_t>(config_.nprocs));
   for (std::int64_t i = 0; i < config_.nprocs; ++i) {
     Pe& pe = pes_[static_cast<std::size_t>(i)];
@@ -172,7 +174,8 @@ void InterpMachine::exec_one(std::int64_t pid, std::int64_t op, std::int64_t a,
         }
       }
       if (child < 0)
-        throw MachineFault("spawn failed: no free processing element");
+        throw MachineFault("spawn failed: no free processing element "
+                           "(§3.2.5 assumes processes ≤ processors)");
       Pe& ch = pes_[static_cast<std::size_t>(child)];
       ch.local.assign(config_.local_mem_cells);
       ch.stack.clear();

@@ -2,16 +2,21 @@
 // execution of the translated program from codegen/translate.cpp.
 //
 //  - occ_[s] holds the ids of the PEs sitting in MIMD state s; apc_ (the
-//    aggregate pc), alive_, and the spawn pool free_ are maintained
-//    incrementally at the pc commit of each meta state instead of by the
-//    reference engine's full scans per step;
-//  - per fused same-guard group, the enabled-PE set is gathered ONCE from
-//    the occupied guard states into a flat ascending list (the reference
-//    engine's 0..nprocs scan order) and the group's precomputed cycle
-//    aggregates are charged in O(1);
-//  - the folded host stream is dispatched op-major — threaded
-//    computed-goto dispatch under GCC/Clang, a switch loop elsewhere —
-//    with a tight per-opcode inner loop over the flat PE list;
+//    aggregate pc), alive_, and the base machine's spawn pool free_ are
+//    maintained incrementally at the pc commit of each meta state instead
+//    of by the reference engine's full scans per step;
+//  - one loop runs every fused same-guard group: the enable set is the OR
+//    of the guard states' occ_ words (a lane mask, bit order = PE order),
+//    and the group's precomputed cycle aggregates are charged in O(1);
+//  - a group then runs one of two ways, the same observable machine
+//    either way. The flat-list span gathers the mask into an ascending PE
+//    list (the reference engine's 0..nprocs scan order) and dispatches the
+//    folded host stream op-major — threaded computed-goto dispatch under
+//    GCC/Clang, a switch loop elsewhere — with a tight per-opcode inner
+//    loop over that list. Under a vector host ISA, dense groups instead go
+//    to the LaneExecutor, which evaluates each op of the group's lowered
+//    lane run (lanes.cpp) across all enabled PEs at a time. SimdIsa::Scalar
+//    and sparse groups (enabled*8 < lane width) always take the flat list;
 //  - immediate-fused ops (BinImm, LdLImm, …) skip the push/pop traffic of
 //    their unfused forms, and constant folding already removed whole runs
 //    of ops at translation time (stats still charge the originals).
@@ -20,19 +25,11 @@
 // cross-PE side effects bit-identical to the reference engine: the n-th
 // broadcast reaches PE i before PE j > i, and no PE sees broadcast n+1
 // until every PE saw n.
-//
-// Under a vector host ISA the folded stream of each TGroup is additionally
-// lowered once (lanes.cpp) into whole-lane code: the group charge is
-// unchanged, the enable set becomes the OR of the guard's occ_ words, and
-// LaneExecutor evaluates each folded op across all enabled PEs at a time.
-// Low-occupancy groups (enabled*8 < lane width) fall back to the flat-list
-// path above, which is the same observable machine.
 #include "msc/simd/machine.hpp"
 
 #include <algorithm>
 #include <memory>
 
-#include "msc/support/coverage.hpp"
 #include "msc/support/str.hpp"
 
 namespace msc::simd {
@@ -45,7 +42,6 @@ using codegen::TransState;
 using core::MetaId;
 using ir::kNoState;
 using ir::MachineFault;
-using ir::StateId;
 
 CodegenSimdMachine::CodegenSimdMachine(const codegen::SimdProgram& program,
                                        const ir::CostModel& cost,
@@ -55,7 +51,7 @@ CodegenSimdMachine::CodegenSimdMachine(const codegen::SimdProgram& program,
       occ_(prog_.mimd_states, DynBitset(static_cast<std::size_t>(config_.nprocs))),
       occ_count_(prog_.mimd_states, 0),
       apc_(prog_.mimd_states),
-      free_(static_cast<std::size_t>(config_.nprocs)) {
+      lane_mask_(lanes_.mask_words(), 0) {
   for (std::int64_t i = 0; i < config_.nprocs; ++i) {
     Pe& pe = pes_[static_cast<std::size_t>(i)];
     pe.next_pc = pe.pc;
@@ -64,28 +60,8 @@ CodegenSimdMachine::CodegenSimdMachine(const codegen::SimdProgram& program,
       if (occ_count_[static_cast<std::size_t>(pe.pc)]++ == 0)
         apc_.set(static_cast<std::size_t>(pe.pc));
       ++alive_;
-    } else {
-      free_.set(static_cast<std::size_t>(i));  // never ran: spawnable
     }
   }
-}
-
-void CodegenSimdMachine::spawn_pe(Pe& parent, std::int64_t parent_id,
-                                  ir::StateId child_entry, ir::StateId cont) {
-  std::size_t child = free_.first();
-  if (child == DynBitset::npos)
-    throw MachineFault("spawn failed: no free processing element "
-                       "(§3.2.5 assumes processes ≤ processors)");
-  free_.reset(child);
-  Pe& ch = pes_[child];
-  if (ch.ever_ran) coverage_hit(cov::kSimdSpawnReuse, 1);
-  lanes_.clear_pe(static_cast<std::int64_t>(child));
-  ch.next_pc = child_entry;
-  ch.ever_ran = true;
-  moved_.push_back(static_cast<std::int64_t>(child));
-  ++stats_.spawns;
-  parent.next_pc = cont;
-  moved_.push_back(parent_id);
 }
 
 void CodegenSimdMachine::lane_set_next_pc(std::int64_t pe,
@@ -96,10 +72,7 @@ void CodegenSimdMachine::lane_set_next_pc(std::int64_t pe,
 
 std::int64_t CodegenSimdMachine::build_lane_mask(
     const std::vector<ir::StateId>& guard_states) {
-  if (lane_mask_.size() != lanes_.mask_words())
-    lane_mask_.assign(lanes_.mask_words(), 0);
-  else
-    std::fill(lane_mask_.begin(), lane_mask_.end(), 0);
+  std::fill(lane_mask_.begin(), lane_mask_.end(), 0);
   std::int64_t enabled = 0;
   for (ir::StateId s : guard_states) {
     const std::size_t si = static_cast<std::size_t>(s);
@@ -145,70 +118,6 @@ void CodegenSimdMachine::commit() {
   moved_.clear();
 }
 
-void CodegenSimdMachine::gather_enabled(
-    const std::vector<StateId>& guard_states) {
-  enabled_scratch_.clear();
-  occupied_scratch_.clear();
-  for (StateId s : guard_states)
-    if (occ_count_[static_cast<std::size_t>(s)] != 0)
-      occupied_scratch_.push_back(s);
-  if (occupied_scratch_.empty()) return;
-
-  if (occupied_scratch_.size() == 1) {
-    std::size_t s = static_cast<std::size_t>(occupied_scratch_[0]);
-    const DynBitset& pes = occ_[s];
-    std::size_t i = pes.first();
-    for (std::int64_t left = occ_count_[s];;) {
-      enabled_scratch_.push_back(static_cast<std::int64_t>(i));
-      if (--left == 0) break;
-      i = pes.next(i);
-    }
-  } else {
-    // Disjoint per-state PE sets: k-way merge in ascending PE id.
-    cursor_scratch_.clear();
-    for (StateId s : occupied_scratch_) {
-      const DynBitset& pes = occ_[static_cast<std::size_t>(s)];
-      cursor_scratch_.push_back(
-          {&pes, pes.first(), occ_count_[static_cast<std::size_t>(s)]});
-    }
-    while (!cursor_scratch_.empty()) {
-      std::size_t best = 0;
-      for (std::size_t k = 1; k < cursor_scratch_.size(); ++k)
-        if (cursor_scratch_[k].pos < cursor_scratch_[best].pos) best = k;
-      OccCursor& c = cursor_scratch_[best];
-      enabled_scratch_.push_back(static_cast<std::int64_t>(c.pos));
-      if (--c.left == 0) {
-        cursor_scratch_.erase(cursor_scratch_.begin() +
-                              static_cast<std::ptrdiff_t>(best));
-      } else {
-        c.pos = c.pes->next(c.pos);
-      }
-    }
-  }
-}
-
-void CodegenSimdMachine::exec_state(const MetaCode& mc) {
-  const TransState& ts = trans_->states[static_cast<std::size_t>(mc.id)];
-  if (isa_ != SimdIsa::Scalar) {
-    exec_state_lanes(mc, ts);
-    return;
-  }
-  for (const TGroup& g : ts.groups) {
-    // One charge per group visit: the aggregates were computed from the
-    // ORIGINAL ops, so the totals equal the reference engine's per-op
-    // accounting exactly.
-    stats_.control_cycles += g.control_cost;
-    ++stats_.guard_switches;
-    stats_.offered_pe_cycles += g.cost_sum * alive_;
-    gather_enabled(g.guard_states);
-    stats_.busy_pe_cycles +=
-        g.cost_sum * static_cast<std::int64_t>(enabled_scratch_.size());
-    if (!enabled_scratch_.empty() && !g.code.empty())
-      run_ops(g.code.data(), g.code.data() + g.code.size());
-  }
-  commit();
-}
-
 const LanePlan& CodegenSimdMachine::plan_for(MetaId id, const TransState& ts) {
   if (lane_plans_.size() != trans_->states.size())
     lane_plans_.resize(trans_->states.size());
@@ -217,13 +126,16 @@ const LanePlan& CodegenSimdMachine::plan_for(MetaId id, const TransState& ts) {
   return *slot;
 }
 
-void CodegenSimdMachine::exec_state_lanes(const MetaCode& mc,
-                                          const TransState& ts) {
-  const LanePlan& plan = plan_for(mc.id, ts);
+void CodegenSimdMachine::exec_state(const MetaCode& mc) {
+  const TransState& ts = trans_->states[static_cast<std::size_t>(mc.id)];
+  // SimdIsa::Scalar has no lane executor, so no lane plan either.
+  const LanePlan* plan =
+      isa_ == SimdIsa::Scalar ? nullptr : &plan_for(mc.id, ts);
   for (std::size_t gi = 0; gi < ts.groups.size(); ++gi) {
     const TGroup& g = ts.groups[gi];
-    // Identical charges to the flat-list path: the aggregates cover the
-    // group regardless of which backend executes it.
+    // One charge per group visit: the aggregates were computed from the
+    // ORIGINAL ops, so the totals equal the reference engine's per-op
+    // accounting exactly, whichever backend executes the group.
     stats_.control_cycles += g.control_cost;
     ++stats_.guard_switches;
     stats_.offered_pe_cycles += g.cost_sum * alive_;
@@ -231,13 +143,14 @@ void CodegenSimdMachine::exec_state_lanes(const MetaCode& mc,
     stats_.busy_pe_cycles += g.cost_sum * enabled;
     if (enabled == 0 || g.code.empty()) continue;
     cur_group_ = &g;
-    if (enabled * 8 < lanes_.width()) {
-      // Sparse occupancy: whole-lane work would touch mostly-disabled
-      // elements; the flat-list path is the same observable machine.
+    if (plan == nullptr || enabled * 8 < lanes_.width()) {
+      // Scalar ISA, or sparse occupancy, where whole-lane work would touch
+      // mostly-disabled elements; the flat-list span is the same
+      // observable machine.
       lane_scalar_span(0, static_cast<std::int32_t>(g.code.size()),
                        lane_mask_.data(), lane_mask_.size());
     } else {
-      lane_executor().run(plan.runs[gi], lane_mask_.data(), *this);
+      lane_executor().run(plan->runs[gi], lane_mask_.data(), *this);
     }
   }
   cur_group_ = nullptr;
@@ -376,8 +289,11 @@ void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end) {
   MSC_NEXT();
 
   MSC_TOP(SpawnPc) {
-    for (const std::int64_t* p = pe_begin; p != pe_end; ++p)
-      spawn_pe(pes_[static_cast<std::size_t>(*p)], *p, op->a, op->b);
+    for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
+      moved_.push_back(claim_child(op->a));
+      pes_[static_cast<std::size_t>(*p)].next_pc = op->b;
+      moved_.push_back(*p);
+    }
   }
   MSC_NEXT();
 

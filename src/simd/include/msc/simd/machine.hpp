@@ -111,10 +111,11 @@ class SimdTracer {
 /// subscripts. Per-PE program memory footprint is zero by construction.
 ///
 /// This is the engine-independent interface plus the shared substrate
-/// (PE/mono memory, stats, visit counts, the step() skeleton and the
-/// transition-table lookup). Two engines implement the per-broadcast hot
-/// path — see mimd::SimdEngine and make_machine(); their observable
-/// behaviour is bit-identical by contract (simd_differential_test).
+/// (PE/mono memory, the §3.2.5 spawn pool, stats, visit counts, the step()
+/// skeleton and the transition-table lookup). Two engines implement the
+/// per-broadcast hot path — see mimd::SimdEngine and make_machine(); their
+/// observable behaviour is bit-identical by contract
+/// (simd_differential_test).
 class SimdMachine : public ir::MemoryBus {
  public:
   SimdMachine(const codegen::SimdProgram& program, const ir::CostModel& cost,
@@ -221,6 +222,12 @@ class SimdMachine : public ir::MemoryBus {
   /// O(nprocs) occupancy scan (reference path; tracer fallback).
   DynBitset aggregate_pc() const;
   void check_local(std::int64_t proc, std::int64_t addr) const;
+  /// §3.2.5 spawn, shared by both engines: take the lowest-numbered PE in
+  /// free_ (the PE the historical linear search from PE 0 found), fault
+  /// when the pool is empty, reset the child's memory and stack and point
+  /// its next_pc at `entry`. Returns the child's id; the caller commits
+  /// its pc with the meta state's other updates.
+  std::int64_t claim_child(ir::StateId entry);
 
   /// Validate nprocs/initial_active before any allocation (MachineFault on
   /// bad configs, matching the historical construction order).
@@ -233,6 +240,11 @@ class SimdMachine : public ir::MemoryBus {
   LaneStore lanes_;
   SimdIsa isa_ = SimdIsa::Scalar;
   std::vector<Pe> pes_;
+  /// The §3.2.5 "pool of free processors": PEs a spawn may claim (pc ==
+  /// none, not claimed earlier in this meta state, and fresh unless
+  /// reuse_halted_pes). Filled at construction with the PEs that never
+  /// ran; each engine's pc commit returns halted PEs to it under reuse.
+  DynBitset free_;
   std::vector<Value> mono_;
   SimdStats stats_;
   std::vector<std::int64_t> visits_;
@@ -252,11 +264,8 @@ class SimdMachine : public ir::MemoryBus {
 
 /// The original scalar implementation, kept compiled in forever as the
 /// differential oracle: every broadcast scans all nprocs PEs against the
-/// guard and the aggregate pc is a full rescan. The only indexed structure
-/// it keeps is the spawn free-pool (`free_`), because the historical
-/// from-zero rescan it replaces was O(nprocs) per spawn — quadratic on
-/// spawn-heavy kernels — without being any more obviously correct:
-/// first() IS the lowest-numbered free PE of §3.2.5's linear search.
+/// guard and the aggregate pc is a full rescan. Spawns claim from the
+/// base machine's free_ pool like the codegen engine's do.
 class ReferenceSimdMachine final : public SimdMachine {
  public:
   ReferenceSimdMachine(const codegen::SimdProgram& program,
@@ -268,31 +277,27 @@ class ReferenceSimdMachine final : public SimdMachine {
   void exec_state(const codegen::MetaCode& mc) override;
   core::MetaId next_state(const codegen::MetaCode& mc,
                           DynBitset* apc) override;
-
- private:
-  /// PEs a spawn may claim: pc == none, no pending claim, and fresh per
-  /// `reuse_halted_pes`. Maintained at the per-meta-state pc commit.
-  DynBitset free_;
 };
 
 /// The default engine: occupancy-indexed execution of the translated
 /// program (DESIGN.md §7, §11). At construction the program body is
 /// compiled — through the process-global cache in codegen/translate.hpp,
 /// so repeat runs of the same automaton skip the work — into fused
-/// same-guard groups of constant-folded host ops. exec_state then resolves
-/// each group's guard once against the per-MIMD-state PE index, charges
-/// the group's precomputed cycle aggregates, and dispatches the folded
-/// stream op-major (threaded/computed-goto dispatch) over the enabled PEs
-/// in ascending id, the reference engine's scan order. Host cost per group
-/// is O(enabled PEs + occupied guard states), not O(nprocs).
+/// same-guard groups of constant-folded host ops. exec_state has one loop
+/// over the groups: it ORs the guard's per-MIMD-state PE words into a lane
+/// mask, charges the group's precomputed cycle aggregates, and then either
+/// dispatches the folded stream op-major (threaded/computed-goto dispatch)
+/// over the mask's PEs in ascending id, the reference engine's scan order,
+/// or hands the mask to the LaneExecutor. Host cost per group is
+/// O(nprocs/64 × occupied guard states + enabled PEs), not O(nprocs).
 ///
 /// Maintained invariants:
 ///   occ_[s] == { i | pes_[i].pc == s }, occ_count_[s] == |occ_[s]|,
 ///   apc_.test(s) == (occ_count_[s] > 0), alive_ == Σ occ_count_,
-///   pes_[i].next_pc == pes_[i].pc between meta states, and free_ holds
-///   exactly the PEs a spawn may claim. Within exec_state, pcs are frozen
-///   (lockstep semantics) — only next_pc changes, each changed PE recorded
-///   once in moved_.
+///   pes_[i].next_pc == pes_[i].pc between meta states, and the base's
+///   free_ holds exactly the PEs a spawn may claim. Within exec_state,
+///   pcs are frozen (lockstep semantics) — only next_pc changes, each
+///   changed PE recorded once in moved_.
 ///
 /// Observable behaviour — memories, SimdStats, profiles, visits, tracer
 /// streams — is bit-identical to the reference oracle.
@@ -311,7 +316,8 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
   DynBitset occupancy() const override { return apc_; }
 
   /// LaneHost: execute TOps [first, end) of the current group for every
-  /// masked PE, op-outer / PE-inner.
+  /// masked PE, op-outer / PE-inner. Also runs whole groups: under
+  /// SimdIsa::Scalar, and for sparse groups (enabled × 8 < lane width).
   void lane_scalar_span(std::int32_t first, std::int32_t end,
                         const std::uint64_t* mask,
                         std::size_t nwords) override;
@@ -319,15 +325,9 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
   void lane_set_next_pc(std::int64_t pe, ir::StateId target) override;
 
  private:
-  /// Fill enabled_scratch_ with the PEs occupying `guard_states`, in
-  /// ascending PE id (the reference engine's 0..nprocs scan order).
-  void gather_enabled(const std::vector<ir::StateId>& guard_states);
-  /// Dispatch folded host ops [op, end) over enabled_scratch_ (the whole
-  /// group on the scalar path; a ScalarSpan subrange on the lane path).
+  /// Dispatch folded host ops [op, end) over enabled_scratch_ (ascending
+  /// PE ids, gathered from the lane mask by lane_scalar_span).
   void run_ops(const codegen::TOp* op, const codegen::TOp* end);
-  /// Whole-lane body (vector ISAs): one lowered run per TGroup.
-  void exec_state_lanes(const codegen::MetaCode& mc,
-                        const codegen::TransState& ts);
   const LanePlan& plan_for(core::MetaId id, const codegen::TransState& ts);
   /// OR the occ_ words of the occupied `guard_states` into lane_mask_;
   /// returns the enabled-PE count (Σ occ_count_ over those states).
@@ -338,11 +338,6 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
   /// Apply the next_pc of every PE in moved_, maintaining occ_/apc_/
   /// alive_/free_ incrementally (end of each meta state).
   void commit();
-  /// §3.2.5 spawn: claim the lowest free PE for a child entering
-  /// `child_entry`; `parent` continues at `cont`. Exact fault and
-  /// child-choice semantics of the reference engine's linear search.
-  void spawn_pe(Pe& parent, std::int64_t parent_id, ir::StateId child_entry,
-                ir::StateId cont);
 
   std::shared_ptr<const codegen::TransProgram> trans_;
   /// occ_[s] = PE ids whose pc == s (bit order doubles as the PE-id
@@ -352,25 +347,14 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
   /// Incremental aggregate pc: bit s set iff occ_count_[s] > 0.
   DynBitset apc_;
   std::int64_t alive_ = 0;
-  /// PEs a spawn may claim (lowest-first; see ReferenceSimdMachine::free_).
-  DynBitset free_;
   /// PEs with a pending next_pc ≠ pc this meta state (each PE executes at
   /// most one pc-writing op per state, so entries are unique).
   std::vector<std::int64_t> moved_;
-  /// Count-limited iterator over one occupied state's PE set: `left`
-  /// bounds the traversal so bits() never pays the trailing zero-word
-  /// scan, keeping per-op host cost proportional to enabled PEs.
-  struct OccCursor {
-    const DynBitset* pes;
-    std::size_t pos;
-    std::int64_t left;
-  };
 
   // Scratch reused across groups (no per-group allocation).
-  std::vector<ir::StateId> occupied_scratch_;
-  std::vector<OccCursor> cursor_scratch_;
   std::vector<std::int64_t> enabled_scratch_;
-  /// Whole-lane enable mask (lanes_.mask_words() words), rebuilt per group.
+  /// The group's enable set (lanes_.mask_words() words, bit i = PE i),
+  /// rebuilt per group by build_lane_mask.
   std::vector<std::uint64_t> lane_mask_;
   std::unique_ptr<LaneExecutor> lane_exec_;
   /// Lazily lowered lane plans, indexed by meta-state id (per machine —

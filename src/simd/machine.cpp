@@ -1,6 +1,7 @@
 // Engine-independent SIMD machine substrate: construction, memory access,
-// the step() skeleton, and the §3.2 transition-table lookup. The two
-// per-broadcast hot paths live in reference.cpp and codegen_engine.cpp.
+// the §3.2.5 spawn pool, the step() skeleton, and the §3.2 transition-table
+// lookup. The two per-broadcast hot paths live in reference.cpp and
+// codegen_engine.cpp.
 #include "msc/simd/machine.hpp"
 
 #include <cstdio>
@@ -41,6 +42,7 @@ SimdMachine::SimdMachine(const codegen::SimdProgram& program,
     throw MachineFault(e.what());
   }
   pes_.resize(static_cast<std::size_t>(config_.nprocs));
+  free_ = DynBitset(static_cast<std::size_t>(config_.nprocs));
   visits_.assign(prog_.states.size(), 0);
   for (std::int64_t i = 0; i < config_.nprocs; ++i) {
     Pe& pe = pes_[static_cast<std::size_t>(i)];
@@ -50,6 +52,8 @@ SimdMachine::SimdMachine(const codegen::SimdProgram& program,
       const DynBitset& members = prog_.states[prog_.start].members;
       pe.pc = static_cast<ir::StateId>(members.first());
       pe.ever_ran = true;
+    } else {
+      free_.set(static_cast<std::size_t>(i));  // never ran: spawnable
     }
   }
   mono_.assign(static_cast<std::size_t>(config_.mono_mem_cells), Value{});
@@ -88,6 +92,21 @@ Value SimdMachine::peek_mono(std::int64_t addr) const {
   if (addr < 0 || addr >= config_.mono_mem_cells)
     throw MachineFault(cat("mono address out of range: ", addr));
   return mono_[static_cast<std::size_t>(addr)];
+}
+
+std::int64_t SimdMachine::claim_child(ir::StateId entry) {
+  const std::size_t child = free_.first();
+  if (child == DynBitset::npos)
+    throw MachineFault("spawn failed: no free processing element "
+                       "(§3.2.5 assumes processes ≤ processors)");
+  free_.reset(child);
+  Pe& ch = pes_[child];
+  if (ch.ever_ran) coverage_hit(cov::kSimdSpawnReuse, 1);
+  lanes_.clear_pe(static_cast<std::int64_t>(child));
+  ch.next_pc = entry;
+  ch.ever_ran = true;
+  ++stats_.spawns;
+  return static_cast<std::int64_t>(child);
 }
 
 Value SimdMachine::mono_load(std::int64_t addr) { return peek_mono(addr); }

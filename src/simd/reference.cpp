@@ -2,14 +2,10 @@
 // broadcast scans all nprocs PEs and the aggregate pc is a full rescan.
 // Deliberately simple — its value is being obviously correct, so the
 // occupancy-indexed engines can be checked against it bit-for-bit forever
-// (tests/simd_differential_test.cpp). The one concession is the spawn
-// pool free_: the historical per-spawn rescan from PE 0 was O(nprocs) —
-// quadratic on spawn-heavy kernels — and "lowest set bit of the idle+fresh
-// set" is exactly the PE that scan found, so the optimization does not
-// cost any obviousness.
+// (tests/simd_differential_test.cpp). Spawns claim from the base
+// machine's free_ pool (SimdMachine::claim_child), the one spawn pool
+// both engines share.
 #include "msc/simd/machine.hpp"
-
-#include "msc/support/coverage.hpp"
 
 namespace msc::simd {
 
@@ -18,19 +14,14 @@ using codegen::SOp;
 using codegen::SOpKind;
 using core::MetaId;
 using ir::kNoState;
-using ir::MachineFault;
 
 ReferenceSimdMachine::ReferenceSimdMachine(const codegen::SimdProgram& program,
                                            const ir::CostModel& cost,
                                            const mimd::RunConfig& config)
-    : SimdMachine(program, cost, config),
-      free_(static_cast<std::size_t>(config_.nprocs)) {
+    : SimdMachine(program, cost, config) {
   // The oracle's value is being obviously correct: it never takes the
   // whole-lane path, whatever RunConfig::simd_isa asked for.
   isa_ = SimdIsa::Scalar;
-  for (std::int64_t i = 0; i < config_.nprocs; ++i)
-    if (pes_[static_cast<std::size_t>(i)].pc == kNoState)
-      free_.set(static_cast<std::size_t>(i));  // never ran: spawnable
 }
 
 void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
@@ -86,23 +77,10 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
         case SOpKind::HaltPc:
           pe.next_pc = kNoState;
           break;
-        case SOpKind::SpawnPc: {
-          // Allocate the lowest-numbered free PE (free: not running and
-          // not already claimed in this meta state).
-          std::size_t child = free_.first();
-          if (child == DynBitset::npos)
-            throw MachineFault("spawn failed: no free processing element "
-                               "(§3.2.5 assumes processes ≤ processors)");
-          free_.reset(child);
-          Pe& ch = pes_[child];
-          if (ch.ever_ran) coverage_hit(cov::kSimdSpawnReuse, 1);
-          lanes_.clear_pe(static_cast<std::int64_t>(child));
-          ch.next_pc = op.a;
-          ch.ever_ran = true;
-          ++stats_.spawns;
+        case SOpKind::SpawnPc:
+          claim_child(op.a);
           pe.next_pc = op.b;
           break;
-        }
       }
     }
   }

@@ -5,8 +5,9 @@
 // profiles whichever ISA executes the lanes. This header only decides
 // *how* whole lanes are evaluated:
 //
-//   Scalar  - the per-PE interpretation paths run unchanged (also the
-//             forced fallback when built with -DMSC_SIMD_ISA=scalar).
+//   Scalar  - no lane executor: every codegen-engine group runs the
+//             flat-list span, PE by PE (also the forced fallback when
+//             built with -DMSC_SIMD_ISA=scalar).
 //   Avx2    - x86-64 lane kernels, 4 x 64-bit elements per register.
 //   Neon    - AArch64 lane kernels, 2 x 64-bit elements per register.
 //   Auto    - resolve to the best ISA the host supports at runtime.

@@ -3,6 +3,7 @@
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
 #include "msc/interp/machine.hpp"
+#include "msc/simd/machine.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -64,6 +65,71 @@ std::vector<std::string> interp_kernels() {
 
 INSTANTIATE_TEST_SUITE_P(Suite, InterpTest, testing::ValuesIn(interp_kernels()),
                          [](const auto& info) { return info.param; });
+
+/// what() of the ir::MachineFault `f` throws, or "" when it throws none.
+template <class F>
+std::string fault_text(F&& f) {
+  try {
+    f();
+  } catch (const ir::MachineFault& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(InterpMachine, RejectsInitialActiveAboveNprocs) {
+  auto compiled = driver::compile(workload::listing1().source);
+  ir::CostModel cost;
+  mimd::RunConfig config;
+  config.nprocs = 4;
+  config.initial_active = 5;
+  // Same check and text as the MIMD oracle and both SIMD engines.
+  EXPECT_EQ(fault_text([&] {
+              interp::InterpMachine m(compiled.graph, cost, config,
+                                      interp::Dispatch::GlobalOr);
+            }),
+            "initial_active exceeds nprocs");
+  EXPECT_EQ(fault_text([&] { driver::run_oracle(compiled, config, 1); }),
+            "initial_active exceeds nprocs");
+  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  for (auto engine :
+       {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
+    config.engine = engine;
+    EXPECT_EQ(fault_text([&] { driver::run_simd(compiled, conv, config, 1); }),
+              "initial_active exceeds nprocs")
+        << simd::engine_name(engine);
+  }
+}
+
+TEST(InterpMachine, SpawnExhaustionFaultMatchesEveryMachine) {
+  auto compiled =
+      driver::compile("int main() { spawn { return 1; } return 0; }");
+  ir::CostModel cost;
+  auto conv = core::meta_state_convert(compiled.graph, cost, {});
+  mimd::RunConfig config;
+  config.nprocs = 2;
+  config.initial_active = 2;  // nobody free
+
+  const std::string oracle =
+      fault_text([&] { driver::run_oracle(compiled, config, 1); });
+  EXPECT_EQ(oracle,
+            "spawn failed: no free processing element "
+            "(§3.2.5 assumes processes ≤ processors)");
+  for (auto dispatch : {interp::Dispatch::Naive, interp::Dispatch::GlobalOr}) {
+    EXPECT_EQ(fault_text([&] {
+                interp::InterpMachine m(compiled.graph, cost, config, dispatch);
+                m.run();
+              }),
+              oracle);
+  }
+  for (auto engine :
+       {mimd::SimdEngine::Reference, mimd::SimdEngine::Codegen}) {
+    config.engine = engine;
+    EXPECT_EQ(fault_text([&] { driver::run_simd(compiled, conv, config, 1); }),
+              oracle)
+        << simd::engine_name(engine);
+  }
+}
 
 TEST(InterpImage, ProgramFootprintGrowsWithCode) {
   auto small = driver::compile(workload::listing1().source);

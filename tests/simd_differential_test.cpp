@@ -41,36 +41,46 @@ std::string case_name(const testing::TestParamInfo<Case>& info) {
 
 /// Runs both engines on an identical configuration and asserts every
 /// observable of the codegen engine is bit-identical to the reference
-/// oracle.
+/// oracle. The codegen engine runs twice: under config.simd_isa (the host
+/// ISA by default, so dense groups take the lane executor) and under a
+/// forced SimdIsa::Scalar, where every group takes the flat-list span —
+/// so both branches are compared on every build, not only on a
+/// -DMSC_SIMD_ISA=scalar one.
 void expect_engines_identical(const driver::Compiled& compiled,
                               const core::ConvertResult& conv,
                               mimd::RunConfig config, std::uint64_t seed,
                               const std::string& label) {
   SCOPED_TRACE(label);
-  simd::SimdStats ref_stats, stats;
-  std::vector<std::int64_t> ref_visits, visits;
+  simd::SimdStats ref_stats;
+  std::vector<std::int64_t> ref_visits;
   config.engine = mimd::SimdEngine::Reference;
   auto ref = driver::run_simd(compiled, conv, config, seed, kCost, {},
                               &ref_stats, &ref_visits);
   config.engine = mimd::SimdEngine::Codegen;
-  auto got = driver::run_simd(compiled, conv, config, seed, kCost, {}, &stats,
-                              &visits);
+  for (SimdIsa isa : {config.simd_isa, SimdIsa::Scalar}) {
+    SCOPED_TRACE(cat("codegen isa=", simd_isa_name(isa)));
+    config.simd_isa = isa;
+    simd::SimdStats stats;
+    std::vector<std::int64_t> visits;
+    auto got = driver::run_simd(compiled, conv, config, seed, kCost, {},
+                                &stats, &visits);
 
-  // Final memories (results, poly globals, mono globals, ran flags).
-  EXPECT_TRUE(got == ref) << "got: " << got.to_string()
-                          << "\nref: " << ref.to_string();
-  // Every cycle counter, bit for bit.
-  EXPECT_EQ(stats.control_cycles, ref_stats.control_cycles);
-  EXPECT_EQ(stats.busy_pe_cycles, ref_stats.busy_pe_cycles);
-  EXPECT_EQ(stats.offered_pe_cycles, ref_stats.offered_pe_cycles);
-  EXPECT_EQ(stats.meta_transitions, ref_stats.meta_transitions);
-  EXPECT_EQ(stats.global_ors, ref_stats.global_ors);
-  EXPECT_EQ(stats.guard_switches, ref_stats.guard_switches);
-  EXPECT_EQ(stats.spawns, ref_stats.spawns);
-  EXPECT_EQ(stats.rescue_transitions, ref_stats.rescue_transitions);
-  EXPECT_TRUE(stats == ref_stats);
-  // Per-meta-state visit counts (pins the whole state sequence length).
-  EXPECT_EQ(visits, ref_visits);
+    // Final memories (results, poly globals, mono globals, ran flags).
+    EXPECT_TRUE(got == ref) << "got: " << got.to_string()
+                            << "\nref: " << ref.to_string();
+    // Every cycle counter, bit for bit.
+    EXPECT_EQ(stats.control_cycles, ref_stats.control_cycles);
+    EXPECT_EQ(stats.busy_pe_cycles, ref_stats.busy_pe_cycles);
+    EXPECT_EQ(stats.offered_pe_cycles, ref_stats.offered_pe_cycles);
+    EXPECT_EQ(stats.meta_transitions, ref_stats.meta_transitions);
+    EXPECT_EQ(stats.global_ors, ref_stats.global_ors);
+    EXPECT_EQ(stats.guard_switches, ref_stats.guard_switches);
+    EXPECT_EQ(stats.spawns, ref_stats.spawns);
+    EXPECT_EQ(stats.rescue_transitions, ref_stats.rescue_transitions);
+    EXPECT_TRUE(stats == ref_stats);
+    // Per-meta-state visit counts (pins the whole state sequence length).
+    EXPECT_EQ(visits, ref_visits);
+  }
 }
 
 class SimdDifferentialTest : public testing::TestWithParam<Case> {};

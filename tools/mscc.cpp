@@ -299,7 +299,6 @@ int main(int argc, char** argv) {
   std::string source, input_name = "<stdin>", emit = "meta";
   driver::PipelineOptions popts;
   core::ConvertOptions& copts = popts.convert;
-  codegen::CodegenOptions& gopts = popts.codegen;
   mimd::RunConfig config;
   config.nprocs = 8;
   bool run = false;
@@ -355,7 +354,7 @@ int main(int argc, char** argv) {
     else if (arg == "--disable-pass") popts.disabled.push_back(next());
     else if (arg == "--verify-each") popts.verify_each = true;
     else if (arg == "--pass-timings") popts.pass_timings_path = next();
-    else if (arg == "--no-csi") gopts.use_csi = false;
+    else if (arg == "--no-csi") popts.codegen.use_csi = false;
     else if (arg == "--emit") emit = next();
     else if (arg == "--run") run = true;
     else if (arg == "--trace") { run = true; trace = true; }
@@ -513,48 +512,43 @@ int main(int argc, char** argv) {
     }
 
     if (run) {
-      simd::SimdStats stats;
       auto oracle = driver::run_oracle(compiled, config, seed);
-      const bool observe_machine = trace || !trace_simd_path.empty() ||
-                                   !profile_simd_path.empty() ||
-                                   chrome.has_value();
-      if (observe_machine) {
-        // Step the SIMD machine manually, printing occupancy per state
-        // and/or dumping the execution-stats JSON.
-        class Printer final : public simd::SimdTracer {
-         public:
-          void on_state(core::MetaId id, const DynBitset& occ,
-                        std::int64_t alive) override {
-            std::printf("%5d  ms%-4u occ=%-18s alive=%lld\n", step_++, id,
-                        occ.to_string().c_str(), static_cast<long long>(alive));
-          }
-          void on_transition(core::MetaId, core::MetaId to,
-                             const DynBitset& apc) override {
-            if (to == core::kNoMeta)
-              std::printf("       exit on apc=%s\n", apc.to_string().c_str());
-          }
-
-         private:
-          int step_ = 0;
-        } printer;
-        auto machine = simd::make_machine(*converted.prog, cost, config);
-        driver::seed_machine(*machine, compiled, config, seed);
-        if (trace) {
-          machine->set_tracer(&printer);
-          std::printf("\n%5s  %-6s %-22s %s\n", "step", "state", "occupancy",
-                      "alive");
+      // One machine runs the program built by the pipeline's codegen pass,
+      // with whichever observers were asked for attached.
+      class Printer final : public simd::SimdTracer {
+       public:
+        void on_state(core::MetaId id, const DynBitset& occ,
+                      std::int64_t alive) override {
+          std::printf("%5d  ms%-4u occ=%-18s alive=%lld\n", step_++, id,
+                      occ.to_string().c_str(), static_cast<long long>(alive));
         }
-        if (!profile_simd_path.empty()) machine->enable_profiling();
-        if (chrome) machine->set_trace_sink(&*chrome);
-        machine->run();
-        if (!trace_simd_path.empty())
-          driver::write_simd_trace(*machine, trace_simd_path);
-        if (!profile_simd_path.empty())
-          driver::write_json_file(simd::to_json(*machine), "simd profile",
-                                  profile_simd_path);
+        void on_transition(core::MetaId, core::MetaId to,
+                           const DynBitset& apc) override {
+          if (to == core::kNoMeta)
+            std::printf("       exit on apc=%s\n", apc.to_string().c_str());
+        }
+
+       private:
+        int step_ = 0;
+      } printer;
+      auto machine = simd::make_machine(*converted.prog, cost, config);
+      driver::seed_machine(*machine, compiled, config, seed);
+      if (trace) {
+        machine->set_tracer(&printer);
+        std::printf("\n%5s  %-6s %-22s %s\n", "step", "state", "occupancy",
+                    "alive");
       }
-      auto simd = driver::run_simd(compiled, conv, config, seed, cost, gopts,
-                                   &stats);
+      if (!profile_simd_path.empty()) machine->enable_profiling();
+      if (chrome) machine->set_trace_sink(&*chrome);
+      machine->run();
+      if (!trace_simd_path.empty())
+        driver::write_simd_trace(*machine, trace_simd_path);
+      if (!profile_simd_path.empty())
+        driver::write_json_file(simd::to_json(*machine), "simd profile",
+                                profile_simd_path);
+      const driver::Observed simd =
+          driver::observe_simd(*machine, compiled, config);
+      const simd::SimdStats& stats = machine->stats();
       std::printf("\noracle: %s\n", oracle.to_string().c_str());
       std::printf("simd  : %s\n", simd.to_string().c_str());
       std::printf("match : %s\n", oracle == simd ? "yes" : "NO");
@@ -567,12 +561,10 @@ int main(int argc, char** argv) {
           return kInternal;
         }
       }
-      const SimdIsa run_isa = config.engine == mimd::SimdEngine::Reference
-                                  ? SimdIsa::Scalar
-                                  : resolve_simd_isa(config.simd_isa);
       std::printf("engine=%s isa=%s meta states=%zu cycles=%lld "
                   "utilization=%.1f%% global-ors=%lld\n",
-                  simd::engine_name(config.engine), simd_isa_name(run_isa),
+                  simd::engine_name(config.engine),
+                  simd_isa_name(machine->isa()),
                   conv.automaton.num_states(),
                   static_cast<long long>(stats.control_cycles),
                   100.0 * stats.utilization(),
