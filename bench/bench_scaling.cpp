@@ -26,9 +26,10 @@ ir::CostModel kCost;
 constexpr std::uint64_t kSeed = 59;
 
 /// Best-of-9 wall-clock seconds for run() on one engine. Construction and
-/// seeding are untimed: they are engine-independent (and dominated by
-/// zero-filling nprocs * local_mem_cells of PE memory), while the engines
-/// differ only in the broadcast/step hot path being measured.
+/// seeding are untimed: they are engine-independent, while the engines
+/// differ only in the broadcast/step hot path being measured. PE memory
+/// grows on first touch, so both engines' run() pays for the rows the
+/// kernel touches.
 double time_engine(const codegen::SimdProgram& prog,
                    const driver::Compiled& compiled, mimd::RunConfig cfg,
                    simd::SimdStats* stats_out) {
@@ -64,9 +65,9 @@ void report_engines() {
       mimd::RunConfig cfg;
       cfg.nprocs = n;
       cfg.initial_active = n / 64;
-      // Kernels here are non-recursive and use a handful of cells; the
-      // 4096-cell default would zero-fill up to 0.5 GB per rep and evict
-      // the caches the timed run() depends on.
+      // Kernels here are non-recursive and use a handful of cells. The
+      // tables are measured at 256 cells; PE memory grows on first touch,
+      // so the bound no longer sets the cost of building a machine.
       cfg.local_mem_cells = 256;
       simd::SimdStats cg_stats, ref_stats;
       cfg.engine = mimd::SimdEngine::Codegen;

@@ -499,7 +499,8 @@ ConvertResult meta_state_convert(const StateGraph& graph, const ir::CostModel& c
                          (std::uint64_t{coverage_bucket(res.stats.arcs)} << 8) |
                          coverage_bucket(res.stats.reach_calls));
         coverage_hit(cov::kConvertRestarts,
-                     (std::uint64_t{std::min(res.stats.restarts, 15)} << 8) |
+                     (static_cast<std::uint64_t>(
+                          std::min(res.stats.restarts, 15)) << 8) |
                          coverage_bucket(
                              static_cast<std::uint64_t>(res.stats.splits_performed)));
       }

@@ -1,5 +1,6 @@
 #include "msc/ir/exec.hpp"
 
+#include <cassert>
 #include <utility>
 
 #include "msc/support/str.hpp"
@@ -81,11 +82,31 @@ Value arith(Opcode op, const Value& a, const Value& b) {
 
 }  // namespace
 
-void SoaLocal::assign(std::int64_t cells) {
-  const auto n = static_cast<std::size_t>(cells);
-  tag_.assign(n, 0);
-  bits_.assign(n, 0);
+void SoaLocal::assign(std::int64_t cells, std::size_t cols) {
+  tag_.clear();
+  bits_.clear();
+  const std::size_t n = static_cast<std::size_t>(cells) * cols;
+  tag_.reserve(n);
+  bits_.reserve(n);
+  cols_ = cols;
   cells_ = cells;
+  rows_ = 0;
+}
+
+void SoaLocal::grow(std::int64_t rows) {
+  assert(rows <= cells_ && "callers range-check against cells()");
+  const std::size_t n = static_cast<std::size_t>(rows) * cols_;
+  tag_.resize(n);
+  bits_.resize(n);
+  rows_ = rows;
+}
+
+void SoaLocal::clear_col(std::size_t col) {
+  for (std::int64_t addr = 0; addr < rows_; ++addr) {
+    const std::size_t at = index(addr, col);
+    tag_[at] = 0;
+    bits_[at] = 0;
+  }
 }
 
 Value eval_binary(Opcode op, const Value& a, const Value& b) {

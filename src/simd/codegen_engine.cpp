@@ -217,19 +217,28 @@ void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end) {
     // faults at the first enabled PE either way.
     if (addr < 0 || addr >= config_.local_mem_cells)
       throw MachineFault(cat("local load out of range: ", addr));
+    const std::uint8_t* tl = lanes_.tag_lane(addr);
+    const std::int64_t* pl = lanes_.payload_lane(addr);
     for (const std::int64_t* p = pe_begin; p != pe_end; ++p)
-      lanes_.stack(*p).push_back(lanes_.load(*p, addr));
+      lanes_.stack(*p).push_back(
+          Value::from_bits(static_cast<Value::Kind>(tl[*p]), pl[*p]));
   }
   MSC_NEXT();
 
   MSC_TOP(StLImm) {
     const std::int64_t addr = op->instr.imm.as_int();
+    const bool in_range = addr >= 0 && addr < config_.local_mem_cells;
+    // One row lookup per group; growing the row before a PE faults on
+    // underflow only adds zero rows, which no observer can tell apart.
+    std::uint8_t* tl = in_range ? lanes_.tag_lane(addr) : nullptr;
+    std::int64_t* pl = in_range ? lanes_.payload_lane(addr) : nullptr;
     for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
       // Underflow precedes the range check, as in the unfused pop order.
       Value v = ir::stack_pop(lanes_.stack(*p));
-      if (addr < 0 || addr >= config_.local_mem_cells)
+      if (!in_range)
         throw MachineFault(cat("local store out of range: ", addr));
-      lanes_.store(*p, addr, v);
+      tl[*p] = static_cast<std::uint8_t>(v.kind);
+      pl[*p] = v.bits();
     }
   }
   MSC_NEXT();

@@ -48,43 +48,46 @@ inline void for_each_lane_bit(const std::uint64_t* mask, std::size_t nwords,
   }
 }
 
-/// Owns all PE-resident state of a SIMD machine: local memories as
-/// lane-major SoA (element (addr, pe) lives at addr * width() + pe in both
-/// the tag array and the payload array) plus the per-PE operand stacks.
-/// A cell costs 9 B: one tag byte and one Value::bits word. width() is
-/// nprocs rounded up to a multiple of 64; the pad elements stay zeroed
-/// Value{}s and are never enabled by any mask.
+/// Owns all PE-resident state of a SIMD machine: local memories as one
+/// lane-major ir::SoaLocal with width() columns (element (addr, pe) lives
+/// at addr * width() + pe in both the tag array and the payload array)
+/// plus the per-PE operand stacks. A cell costs 9 B: one tag byte and one
+/// Value::bits word. width() is nprocs rounded up to a multiple of 64; the
+/// pad elements stay zeroed Value{}s and are never enabled by any mask.
+///
+/// cells() is the logical local_mem_cells bound every range check uses;
+/// only rows [0, rows()) are physically live (see ir::SoaLocal). Stores,
+/// row pointers and PE views grow the live rows on first touch, so a
+/// machine pays for the addresses its program uses, not for cells().
 class LaneStore {
  public:
   LaneStore(std::int64_t nprocs, std::int64_t cells);
 
   std::int64_t nprocs() const { return nprocs_; }
-  std::int64_t width() const { return width_; }
-  std::int64_t cells() const { return cells_; }
+  std::int64_t width() const {
+    return static_cast<std::int64_t>(mem_.cols());
+  }
+  std::int64_t cells() const { return mem_.cells(); }
+  std::int64_t rows() const { return mem_.rows(); }
   std::size_t mask_words() const {
-    return static_cast<std::size_t>(width_) / 64;
+    return mem_.cols() / 64;
   }
 
   Value load(std::int64_t pe, std::int64_t addr) const {
-    return pe_view_const(pe).get(addr);
+    return mem_.get(addr, static_cast<std::size_t>(pe));
   }
   void store(std::int64_t pe, std::int64_t addr, const Value& v) {
-    pe_view(pe).put(addr, v);
+    mem_.set(addr, v, static_cast<std::size_t>(pe));
   }
 
-  /// Scalar window for exec_instr: base pointers pre-offset by `pe`,
-  /// stride = width().
+  /// Scalar window for exec_instr: column `pe` of the lane-major store.
   ir::LocalView pe_view(std::int64_t pe) {
-    return {tags_.data() + pe, bits_.data() + pe,
-            static_cast<std::size_t>(width_), cells_};
+    return mem_.view(static_cast<std::size_t>(pe));
   }
 
-  std::uint8_t* tag_lane(std::int64_t addr) {
-    return tags_.data() + static_cast<std::size_t>(addr * width_);
-  }
-  std::int64_t* payload_lane(std::int64_t addr) {
-    return bits_.data() + static_cast<std::size_t>(addr * width_);
-  }
+  /// Lane `addr` (width() elements), made live.
+  std::uint8_t* tag_lane(std::int64_t addr) { return mem_.tag_row(addr); }
+  std::int64_t* payload_lane(std::int64_t addr) { return mem_.bits_row(addr); }
 
   std::vector<Value>& stack(std::int64_t pe) {
     return stacks_[static_cast<std::size_t>(pe)];
@@ -93,7 +96,8 @@ class LaneStore {
     return stacks_[static_cast<std::size_t>(pe)];
   }
 
-  /// Spawn reset: zero the PE's local column and clear its stack.
+  /// Spawn reset: zero the PE's column across the live rows and clear its
+  /// stack.
   void clear_pe(std::int64_t pe);
 
   /// Seed one address across all PEs from per-PE integers
@@ -103,17 +107,8 @@ class LaneStore {
                      std::int64_t n);
 
  private:
-  ir::LocalView pe_view_const(std::int64_t pe) const {
-    return {const_cast<std::uint8_t*>(tags_.data()) + pe,
-            const_cast<std::int64_t*>(bits_.data()) + pe,
-            static_cast<std::size_t>(width_), cells_};
-  }
-
   std::int64_t nprocs_;
-  std::int64_t width_;
-  std::int64_t cells_;
-  std::vector<std::uint8_t> tags_;
-  std::vector<std::int64_t> bits_;
+  ir::SoaLocal mem_;
   std::vector<std::vector<Value>> stacks_;
 };
 

@@ -28,19 +28,13 @@ std::int64_t round_up64(std::int64_t n) { return (n + 63) & ~std::int64_t{63}; }
 }  // namespace
 
 LaneStore::LaneStore(std::int64_t nprocs, std::int64_t cells)
-    : nprocs_(nprocs),
-      width_(round_up64(nprocs < 1 ? 1 : nprocs)),
-      cells_(cells),
-      tags_(static_cast<std::size_t>(width_ * cells), 0),
-      bits_(static_cast<std::size_t>(width_ * cells), 0),
-      stacks_(static_cast<std::size_t>(nprocs)) {}
+    : nprocs_(nprocs), stacks_(static_cast<std::size_t>(nprocs)) {
+  const std::int64_t width = round_up64(nprocs < 1 ? 1 : nprocs);
+  mem_.assign(cells, static_cast<std::size_t>(width));
+}
 
 void LaneStore::clear_pe(std::int64_t pe) {
-  for (std::int64_t addr = 0; addr < cells_; ++addr) {
-    const std::size_t at = static_cast<std::size_t>(addr * width_ + pe);
-    tags_[at] = 0;
-    bits_[at] = 0;
-  }
+  mem_.clear_col(static_cast<std::size_t>(pe));
   stacks_[static_cast<std::size_t>(pe)].clear();
 }
 

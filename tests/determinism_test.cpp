@@ -27,7 +27,7 @@ TEST(Determinism, PipelineArtifactsAreByteStable) {
         auto compiled = driver::compile(k.source);
         auto conv = meta_state_convert(compiled.graph, kCost, opts);
         auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
-        return serialize(Module{conv.graph, conv.automaton}) + "\n---\n" +
+        return serialize(Module{conv.graph, conv.automaton, {}}) + "\n---\n" +
                codegen::to_mpl(prog, conv.graph);
       };
       EXPECT_EQ(run(), run()) << name << " compress=" << compress;
@@ -75,7 +75,7 @@ TEST(Determinism, ParallelConversionBitIdenticalToSerial) {
               auto compiled = driver::compile(k.source);
               auto conv = meta_state_convert(compiled.graph, kCost, opts);
               return serialize(
-                  Module{std::move(conv.graph), std::move(conv.automaton)});
+                  Module{std::move(conv.graph), std::move(conv.automaton), {}});
             };
             std::string serial = run(1);
             EXPECT_EQ(serial, run(4))
@@ -101,7 +101,8 @@ TEST(Determinism, CacheDoesNotChangeResults) {
       opts.memoize = memoize;
       auto compiled = driver::compile(src);
       auto conv = meta_state_convert(compiled.graph, kCost, opts);
-      return serialize(Module{std::move(conv.graph), std::move(conv.automaton)});
+      return serialize(
+          Module{std::move(conv.graph), std::move(conv.automaton), {}});
     };
     EXPECT_EQ(run(true), run(false)) << "split=" << split;
   }

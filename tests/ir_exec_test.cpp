@@ -150,6 +150,53 @@ TEST_F(ExecTest, Faults) {
   EXPECT_THROW(run({Instr::push_i(1), Instr::pop(2)}), MachineFault);
 }
 
+TEST_F(ExecTest, LocalMemoryGrowsOnFirstTouchUpToItsCells) {
+  // A fresh memory has no live rows; a load below cells reads Value{}
+  // without growing it.
+  EXPECT_EQ(local_mem.rows(), 0);
+  run({Instr::push_i(15), Instr::of(Opcode::LdL)});
+  EXPECT_EQ(top(), Value::of_int(0));
+  EXPECT_EQ(local_mem.rows(), 0);
+  // A store to the last cell makes every row below it live and zero.
+  run({Instr::push_f(2.5), Instr::push_i(15), Instr::of(Opcode::StL)});
+  EXPECT_EQ(local_mem.rows(), 16);
+  EXPECT_EQ(local_mem.get(15), Value::of_float(2.5));
+  for (std::int64_t a = 0; a < 15; ++a) {
+    EXPECT_EQ(local_mem.get(a).kind, Value::Kind::Int);
+    EXPECT_EQ(local_mem.get(a).bits(), 0);
+  }
+  // The logical bound, not the live rows, sets the range check.
+  const auto fault = [&](std::initializer_list<Instr> instrs) -> std::string {
+    try {
+      run(instrs);
+    } catch (const MachineFault& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(fault({Instr::push_i(1), Instr::push_i(16), Instr::of(Opcode::StL)}),
+            "local store out of range: 16");
+  EXPECT_EQ(fault({Instr::push_i(16), Instr::of(Opcode::LdL)}),
+            "local load out of range: 16");
+  EXPECT_EQ(local_mem.rows(), 16);
+}
+
+TEST(SoaLocal, AssignAfterWritesReadsBackZeros) {
+  SoaLocal m;
+  m.assign(16);
+  for (std::int64_t a = 0; a < 16; ++a)
+    m.set(a, Value::of_float(static_cast<double>(a) + 0.5));
+  m.assign(16);
+  EXPECT_EQ(m.rows(), 0);
+  EXPECT_EQ(m.cells(), 16);
+  // Regrowth over the old rows value-initialises them, tag and payload.
+  m.set(15, Value::of_int(1));
+  for (std::int64_t a = 0; a < 15; ++a) {
+    EXPECT_EQ(m.get(a).kind, Value::Kind::Int) << a;
+    EXPECT_EQ(m.get(a).bits(), 0) << a;
+  }
+}
+
 TEST(CostModel, OrderingOfCosts) {
   CostModel cost;
   // Relative cost structure the experiments rely on.

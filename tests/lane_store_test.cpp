@@ -95,14 +95,15 @@ TEST(LaneStore, FillIntLaneByteIdenticalToScalarStores) {
 }
 
 TEST(LaneStore, ClearPeResetsOneColumnOnly) {
-  LaneStore ls(65, 3);
+  // Touch the last logical row too: the reset must reach every live row.
+  LaneStore ls(65, 4096);
+  const std::int64_t addrs[] = {0, 1, 2, 4095};
   for (std::int64_t pe = 0; pe < 65; ++pe)
-    for (std::int64_t a = 0; a < 3; ++a)
-      ls.store(pe, a, Value::of_int(100 * pe + a));
+    for (std::int64_t a : addrs) ls.store(pe, a, Value::of_int(100 * pe + a));
   ls.stack(64).push_back(Value::of_int(9));
   ls.clear_pe(64);
   EXPECT_TRUE(ls.stack(64).empty());
-  for (std::int64_t a = 0; a < 3; ++a) {
+  for (std::int64_t a : addrs) {
     EXPECT_EQ(ls.load(64, a).as_int(), 0);
     EXPECT_EQ(ls.load(63, a).as_int(), 100 * 63 + a) << "neighbour clobbered";
     EXPECT_EQ(ls.load(0, a).as_int(), a) << "neighbour clobbered";
@@ -144,6 +145,36 @@ TEST(LaneStore, PayloadBitsRoundTripExactly) {
     EXPECT_TRUE(same_bits(soa.get(a), Value{}));
     EXPECT_TRUE(same_bits(ls.load(63, a), edge[(63 + a) % 4]))
         << "neighbour clobbered";
+  }
+}
+
+TEST(LaneStore, LiveRowsGrowOnFirstTouchAndLanesStayPut) {
+  for (std::int64_t n : kPeCounts) {
+    SCOPED_TRACE(n);
+    const std::int64_t cells = 4096;
+    LaneStore ls(n, cells);
+    EXPECT_EQ(ls.cells(), cells);
+    EXPECT_EQ(ls.rows(), 0);
+    // Loads past the high-water mark read Value{} and grow nothing.
+    for (std::int64_t a : {std::int64_t{0}, cells - 1})
+      EXPECT_TRUE(same_bits(ls.load(n - 1, a), Value{}));
+    EXPECT_EQ(ls.rows(), 0);
+
+    ls.store(0, 0, Value::of_int(1));
+    EXPECT_EQ(ls.rows(), 1);
+    const std::uint8_t* tag0 = ls.tag_lane(0);
+    const std::int64_t* pay0 = ls.payload_lane(0);
+    ls.store(n - 1, cells - 1, Value::of_float(2.5));
+    EXPECT_EQ(ls.rows(), cells);
+    EXPECT_EQ(ls.tag_lane(0), tag0) << "growth moved lane 0";
+    EXPECT_EQ(ls.payload_lane(0), pay0) << "growth moved lane 0";
+    EXPECT_TRUE(same_bits(ls.load(n - 1, cells - 1), Value::of_float(2.5)));
+    EXPECT_TRUE(same_bits(ls.load(0, 0), Value::of_int(1)));
+    // Rows grown in between, pads included, are zeroed Value{}s.
+    for (std::int64_t pe = 0; pe < ls.width(); ++pe) {
+      EXPECT_EQ(ls.tag_lane(cells / 2)[pe], 0);
+      EXPECT_EQ(ls.payload_lane(cells / 2)[pe], 0);
+    }
   }
 }
 

@@ -44,7 +44,7 @@ TEST(Serialize, ReloadedModuleExecutesIdentically) {
   auto compiled = driver::compile(k.source);
   auto conv = meta_state_convert(compiled.graph, kCost, {});
   Module reloaded =
-      deserialize(serialize(Module{conv.graph, conv.automaton}));
+      deserialize(serialize(Module{conv.graph, conv.automaton, {}}));
 
   auto prog = codegen::generate(reloaded.automaton, reloaded.graph, kCost, {});
   mimd::RunConfig cfg;
