@@ -335,6 +335,8 @@ Key cache_key(const SimdProgram& prog, const ir::CostModel& cost) {
 
 /// Bounds host memory across long fuzzing sessions; 16 comfortably holds
 /// a differential matrix's distinct (pipeline, cost) combinations.
+/// Translation cannot fail (the NullBus above is unreachable by
+/// construction), so waiters keep the default std::runtime_error rebuild.
 using Cache =
     SingleFlightLru<Key, std::shared_ptr<const TransProgram>, KeyHash>;
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -27,7 +25,8 @@ ExplosionError::ExplosionError(std::size_t limit)
     : std::runtime_error(cat("meta-state space exceeded the configured limit of ",
                              limit,
                              " states (§1.2 warns of up to S!/(S-N)! states; "
-                             "try compression or barriers)")) {}
+                             "try compression or barriers)")),
+      limit_(limit) {}
 
 namespace {
 
@@ -100,10 +99,6 @@ class Converter {
     aut_.barriers = g_.barrier_states();
     aut_.compressed = opts_.compress;
 
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads_ = opts_.threads != 0 ? opts_.threads : (hw != 0 ? hw : 1);
-    stats_.threads_used = threads_;
-
     // A restart round rebuilds roughly the memoized prefix: pre-size the
     // state table and index to skip their reallocation/rehash churn.
     if (memo_ && !memo_->map.empty()) {
@@ -115,24 +110,23 @@ class Converter {
     start.set(g_.start);
     aut_.start = get_or_create(start);
 
-    // meta_state_convert() main loop (§2.3), batched: take every unmarked
-    // meta state (one BFS layer of the discovery frontier), enumerate all
-    // their successor sets — in parallel, against the memo — then merge in
-    // discovery order so state numbering is identical to a serial run.
-    for (std::size_t begin = 0; begin < aut_.states.size();) {
-      const std::size_t end = aut_.states.size();
-      ++stats_.batches;
-
-      std::vector<Job> jobs = make_jobs(begin, end);
-      Clock::time_point t0 = Clock::now();
-      expand(jobs);
-      stats_.expand_seconds += since(t0);
-
-      Clock::time_point t1 = Clock::now();
-      merge(jobs);
-      stats_.merge_seconds += since(t1);
-
-      begin = end;
+    // meta_state_convert() main loop (§2.3): take the unmarked meta states
+    // in discovery order, enumerate each one's successor sets (or reuse a
+    // previous round's from the memo), and attach its arcs; new successors
+    // append to the table and are marked in turn.
+    std::vector<DynBitset> scratch;
+    for (std::size_t i = 0; i < aut_.states.size(); ++i) {
+      const auto id = static_cast<MetaId>(i);
+      const DynBitset& members = aut_.states[id].members;
+      const bool all_barrier =
+          !aut_.barriers.empty() && members.is_subset_of(aut_.barriers);
+      // `members` dangles once attaching grows the table; `raw` does not.
+      const std::vector<DynBitset>& raw =
+          successors(members, all_barrier, scratch);
+      if (opts_.compress)
+        attach_compressed(id, raw, all_barrier);
+      else
+        attach(id, raw);
     }
 
     if (opts_.compress && opts_.subsume) {
@@ -147,26 +141,6 @@ class Converter {
   }
 
  private:
-  /// One frontier meta state awaiting successor enumeration. `cached`
-  /// points into the memo (unordered_map references are insert-stable);
-  /// a miss fills `computed` instead. Member sets are read through the
-  /// automaton by id — stable across the reallocation merge() causes —
-  /// so hits carry no per-job copies at all.
-  struct Job {
-    MetaId id = kNoMeta;
-    bool all_barrier = false;
-    const std::vector<DynBitset>* cached = nullptr;
-    std::vector<DynBitset> computed;
-
-    const std::vector<DynBitset>& raw() const {
-      return cached ? *cached : computed;
-    }
-  };
-
-  const DynBitset& members_of(const Job& job) const {
-    return aut_.states[job.id].members;
-  }
-
   MetaId get_or_create(const DynBitset& members) {
     bool created = false;
     MetaId id = aut_.find_or_add(members, created);
@@ -188,105 +162,34 @@ class Converter {
     return id;
   }
 
-  std::vector<Job> make_jobs(std::size_t begin, std::size_t end) {
-    std::vector<Job> jobs(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      Job& job = jobs[i - begin];
-      job.id = static_cast<MetaId>(i);
-      const DynBitset& members = aut_.states[i].members;
-      job.all_barrier =
-          !aut_.barriers.empty() && members.is_subset_of(aut_.barriers);
-      if (memo_) {
-        auto it = memo_->map.find(members);
-        if (it != memo_->map.end()) {
-          job.cached = &it->second;
-          ++stats_.cache_hits;
-        } else {
-          ++stats_.cache_misses;
-        }
-      } else {
-        ++stats_.cache_misses;
+  /// The raw (pre-mask) successor sets of `members`: the memo's entry, or
+  /// a fresh reach() enumeration that is then memoized. The result points
+  /// into the memo (unordered_map references are insert-stable) or, with
+  /// the memo off, at `scratch`; either way it outlives state creation.
+  const std::vector<DynBitset>& successors(const DynBitset& members,
+                                           bool all_barrier,
+                                           std::vector<DynBitset>& scratch) {
+    if (memo_) {
+      auto it = memo_->map.find(members);
+      if (it != memo_->map.end()) {
+        ++stats_.cache_hits;
+        return it->second;
       }
     }
-    return jobs;
-  }
-
-  /// Enumerate successor sets for every miss in the batch. Workers only
-  /// read the graph and write disjoint Job slots; the memo is frozen for
-  /// the duration (inserts happen in merge()), so hits stay valid.
-  void expand(std::vector<Job>& jobs) {
-    std::vector<Job*> misses;
-    for (Job& job : jobs)
-      if (!job.cached) misses.push_back(&job);
-    if (misses.empty()) return;
-
-    if (threads_ <= 1 || misses.size() < 2) {
-      std::size_t calls = 0;
-      for (Job* job : misses) expand_one(*job, calls);
-      stats_.reach_calls += calls;
-      return;
-    }
-
-    const std::size_t nworkers = std::min<std::size_t>(threads_, misses.size());
-    const std::size_t chunk = (misses.size() + nworkers - 1) / nworkers;
-    std::vector<std::size_t> calls(nworkers, 0);
-    std::vector<std::exception_ptr> errors(nworkers);
-    std::vector<std::thread> pool;
-    pool.reserve(nworkers);
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          const std::size_t lo = w * chunk;
-          const std::size_t hi = std::min(misses.size(), lo + chunk);
-          for (std::size_t i = lo; i < hi; ++i) expand_one(*misses[i], calls[w]);
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      stats_.reach_calls += calls[w];
-      if (errors[w]) std::rethrow_exception(errors[w]);
-    }
-  }
-
-  void expand_one(Job& job, std::size_t& calls) const {
+    ++stats_.cache_misses;
     std::vector<StateId> mem;
-    for (std::size_t s : members_of(job).bits())
-      mem.push_back(static_cast<StateId>(s));
+    for (std::size_t s : members.bits()) mem.push_back(static_cast<StateId>(s));
     std::set<DynBitset> out;
-    DynBitset t(g_.size());
-    reach(mem, 0, t, job.all_barrier, out, calls);
-    job.computed.assign(out.begin(), out.end());
+    reach(mem, 0, DynBitset(g_.size()), all_barrier, out);
+    scratch.assign(out.begin(), out.end());
+    if (!memo_) return scratch;
+    return memo_->map.emplace(members, std::move(scratch)).first->second;
   }
 
-  /// Discovery-order merge: publish this batch's enumerations to the memo
-  /// (before any state creation, so a §2.4 restart keeps them), then walk
-  /// the batch in id order creating successors and arcs — the exact order
-  /// a serial converter would, hence identical state numbering.
-  void merge(std::vector<Job>& jobs) {
-    if (memo_) {
-      for (Job& job : jobs)
-        if (!job.cached) {
-          auto [it, inserted] =
-              memo_->map.emplace(members_of(job), std::move(job.computed));
-          job.cached = &it->second;
-          (void)inserted;  // member sets are unique within a round
-        }
-    }
-    for (Job& job : jobs) {
-      if (opts_.compress)
-        attach_compressed(job);
-      else
-        attach(job);
-    }
-  }
-
-  void attach(Job& job) {
+  void attach(MetaId id, const std::vector<DynBitset>& raw_sets) {
     std::vector<DynBitset> keys;
-    keys.reserve(job.raw().size());
-    for (const DynBitset& raw : job.raw()) {
+    keys.reserve(raw_sets.size());
+    for (const DynBitset& raw : raw_sets) {
       if (raw.empty()) continue;  // every process ended: terminal (§3.2.1)
       keys.push_back(mask(raw));
     }
@@ -296,26 +199,27 @@ class Converter {
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     for (DynBitset& key : keys) {
       MetaId target = get_or_create(key);
-      aut_.at(job.id).arcs.emplace_back(std::move(key), target);
+      aut_.at(id).arcs.emplace_back(std::move(key), target);
     }
   }
 
-  void attach_compressed(Job& job) {
+  void attach_compressed(MetaId id, const std::vector<DynBitset>& raw_sets,
+                         bool all_barrier) {
     // §2.5: every member takes all paths, so reach() produced exactly one
     // union — the unconditional successor (§3.2.2).
-    if (job.raw().size() != 1)
+    if (raw_sets.size() != 1)
       throw std::logic_error("compressed reach must yield one successor");
-    const DynBitset& succ = job.raw().front();
+    const DynBitset& succ = raw_sets.front();
     if (!succ.empty()) {
       MetaId target = get_or_create(succ);
-      aut_.at(job.id).unconditional = target;
+      aut_.at(id).unconditional = target;
     }
     // Barrier release: when every live PE is waiting, occupancy is some
     // nonempty subset of this state's barrier members; key each such
     // occupancy to its dedicated all-barrier meta state so the compressed
     // automaton cannot livelock on a barrier.
-    DynBitset b = members_of(job) & aut_.barriers;
-    if (b.empty() || job.all_barrier) return;
+    DynBitset b = aut_.at(id).members & aut_.barriers;
+    if (b.empty() || all_barrier) return;
     std::vector<std::size_t> bits = b.to_vector();
     if (bits.size() > 16)
       throw std::runtime_error(
@@ -329,7 +233,7 @@ class Converter {
     }
     for (const DynBitset& key : keys) {
       MetaId target = get_or_create(key);
-      aut_.at(job.id).arcs.emplace_back(key, target);
+      aut_.at(id).arcs.emplace_back(key, target);
     }
   }
 
@@ -346,12 +250,10 @@ class Converter {
   /// Each member contributes TRUE / FALSE / both for a two-exit state
   /// (just both under §2.5 compression), its single successor for a jump,
   /// both arcs for a spawn (§3.2.5), nothing when the process ends, and
-  /// itself when stalled at a barrier. Pure with respect to the automaton
-  /// and graph, so expansion workers may run it concurrently.
+  /// itself when stalled at a barrier.
   void reach(const std::vector<StateId>& mem, std::size_t i, const DynBitset& t,
-             bool all_barrier, std::set<DynBitset>& out,
-             std::size_t& calls) const {
-    ++calls;
+             bool all_barrier, std::set<DynBitset>& out) {
+    ++stats_.reach_calls;
     if (i == mem.size()) {
       out.insert(t);
       return;
@@ -367,27 +269,27 @@ class Converter {
       // barrier; it keeps occupying its own state. (Under PaperPrune
       // such members only appear in all-barrier states, so this path is
       // TrackOccupancy/compressed-specific.)
-      reach(mem, i + 1, with({b.id}), all_barrier, out, calls);
+      reach(mem, i + 1, with({b.id}), all_barrier, out);
       return;
     }
     switch (b.exit) {
       case ExitKind::Halt:
-        reach(mem, i + 1, t, all_barrier, out, calls);
+        reach(mem, i + 1, t, all_barrier, out);
         return;
       case ExitKind::Jump:
-        reach(mem, i + 1, with({b.target}), all_barrier, out, calls);
+        reach(mem, i + 1, with({b.target}), all_barrier, out);
         return;
       case ExitKind::Spawn:
-        reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out, calls);
+        reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out);
         return;
       case ExitKind::Branch:
         if (opts_.compress) {
-          reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out, calls);
+          reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out);
         } else {
-          reach(mem, i + 1, with({b.target}), all_barrier, out, calls);
+          reach(mem, i + 1, with({b.target}), all_barrier, out);
           if (b.alt != b.target) {
-            reach(mem, i + 1, with({b.alt}), all_barrier, out, calls);
-            reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out, calls);
+            reach(mem, i + 1, with({b.alt}), all_barrier, out);
+            reach(mem, i + 1, with({b.target, b.alt}), all_barrier, out);
           }
         }
         return;
@@ -400,7 +302,6 @@ class Converter {
   const bool allow_split_;
   ConvertStats& stats_;
   SuccessorMemo* memo_;
-  unsigned threads_ = 1;
   MetaAutomaton aut_;
 };
 
@@ -452,11 +353,7 @@ std::string to_json(const ConvertStats& stats) {
      << "    \"misses\": " << stats.cache_misses << ",\n"
      << "    \"invalidated\": " << stats.cache_invalidated << "\n"
      << "  },\n"
-     << "  \"threads\": " << stats.threads_used << ",\n"
-     << "  \"batches\": " << stats.batches << ",\n"
      << "  \"phase_seconds\": {\n"
-     << "    \"expand\": " << fmt_double(stats.expand_seconds, 6) << ",\n"
-     << "    \"merge\": " << fmt_double(stats.merge_seconds, 6) << ",\n"
      << "    \"subsume\": " << fmt_double(stats.subsume_seconds, 6) << ",\n"
      << "    \"straighten\": " << fmt_double(stats.straighten_seconds, 6) << ",\n"
      << "    \"total\": " << fmt_double(stats.total_seconds, 6) << "\n"

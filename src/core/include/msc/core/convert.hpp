@@ -51,12 +51,6 @@ struct ConvertOptions {
   /// recomputed. Disable only to measure the cache (bench_convert_cache).
   bool memoize = true;
 
-  /// Worker threads for frontier expansion. 1 = serial; 0 = one per
-  /// hardware thread. Any value produces a bit-identical automaton: the
-  /// frontier is expanded in deterministic batches and merged in
-  /// discovery order, so state numbering never depends on thread timing.
-  unsigned threads = 1;
-
   /// Explosion guard (§1.2 warns of up to S!/(S−N)! states). Enforced
   /// before insertion: exactly this many meta states may be created.
   std::size_t max_meta_states = 250'000;
@@ -66,6 +60,10 @@ struct ConvertOptions {
 class ExplosionError : public std::runtime_error {
  public:
   explicit ExplosionError(std::size_t limit);
+  std::size_t limit() const { return limit_; }
+
+ private:
+  std::size_t limit_;
 };
 
 struct ConvertStats {
@@ -80,13 +78,7 @@ struct ConvertStats {
   std::size_t cache_misses = 0;      ///< member sets enumerated by reach()
   std::size_t cache_invalidated = 0; ///< entries dropped by split restarts
 
-  // Parallel frontier expansion.
-  unsigned threads_used = 1;  ///< effective worker count
-  std::size_t batches = 0;    ///< deterministic frontier batches expanded
-
   // Per-phase wall time, in seconds (accumulated across restart rounds).
-  double expand_seconds = 0.0;      ///< successor enumeration (parallel)
-  double merge_seconds = 0.0;       ///< discovery-order merge / arc build
   double subsume_seconds = 0.0;     ///< Fig. 5 subsumption pass
   double straighten_seconds = 0.0;  ///< §4.2 layout pass
   double total_seconds = 0.0;       ///< whole meta_state_convert() call

@@ -16,7 +16,7 @@ namespace msc::core {
 /// `codegen::generate` only needs these structures.
 ///
 /// Format (one record per line, space-separated, '#' comments ignored):
-///   mscmod 2
+///   mscmod 3
 ///   graph <nblocks> <start>
 ///   block <id> <exit> <target> <alt> <barrier> <label…>
 ///   instr <block> <op> <kind> <int> <float-bits>
@@ -25,9 +25,8 @@ namespace msc::core {
 ///   meta <id> <unconditional> <member-bit…>
 ///   arc <from> <to> <key-bit…>
 ///   stats <meta_states> <arcs> <reach_calls> <splits> <restarts>
-///         <cache_hits> <cache_misses> <cache_invalidated> <threads>
-///         <batches> <expand_us> <merge_us> <subsume_us> <straighten_us>
-///         <total_us>                                    (one line)
+///         <cache_hits> <cache_misses> <cache_invalidated> <subsume_us>
+///         <straighten_us> <total_us>                    (one line)
 ///   end
 ///
 /// A version other than the current one is rejected with a clear error —

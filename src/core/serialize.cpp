@@ -11,7 +11,7 @@ namespace msc::core {
 
 namespace {
 
-constexpr int kVersion = 2;
+constexpr int kVersion = 3;
 
 std::int64_t micros(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e6 + 0.5);
@@ -126,9 +126,7 @@ std::string serialize(const Module& module) {
   os << "stats " << st.meta_states << " " << st.arcs << " " << st.reach_calls
      << " " << st.splits_performed << " " << st.restarts << " "
      << st.cache_hits << " " << st.cache_misses << " " << st.cache_invalidated
-     << " " << st.threads_used << " " << st.batches << " "
-     << micros(st.expand_seconds) << " " << micros(st.merge_seconds) << " "
-     << micros(st.subsume_seconds) << " " << micros(st.straighten_seconds)
+     << " " << micros(st.subsume_seconds) << " " << micros(st.straighten_seconds)
      << " " << micros(st.total_seconds) << "\n";
   os << "end\n";
   return os.str();
@@ -221,7 +219,7 @@ Module deserialize(const std::string& text) {
       mod.automaton.states[from].arcs.emplace_back(bits_from(f, 3, ln),
                                                    static_cast<MetaId>(to));
     } else if (f[0] == "stats") {
-      if (f.size() != 16) fail(ln, "short 'stats' record");
+      if (f.size() != 12) fail(ln, "short 'stats' record");
       ConvertStats& st = mod.stats;
       st.meta_states = static_cast<std::size_t>(to_u64(f[1], ln));
       st.arcs = static_cast<std::size_t>(to_u64(f[2], ln));
@@ -231,13 +229,9 @@ Module deserialize(const std::string& text) {
       st.cache_hits = static_cast<std::size_t>(to_u64(f[6], ln));
       st.cache_misses = static_cast<std::size_t>(to_u64(f[7], ln));
       st.cache_invalidated = static_cast<std::size_t>(to_u64(f[8], ln));
-      st.threads_used = static_cast<unsigned>(to_u64(f[9], ln));
-      st.batches = static_cast<std::size_t>(to_u64(f[10], ln));
-      st.expand_seconds = static_cast<double>(to_i64(f[11], ln)) / 1e6;
-      st.merge_seconds = static_cast<double>(to_i64(f[12], ln)) / 1e6;
-      st.subsume_seconds = static_cast<double>(to_i64(f[13], ln)) / 1e6;
-      st.straighten_seconds = static_cast<double>(to_i64(f[14], ln)) / 1e6;
-      st.total_seconds = static_cast<double>(to_i64(f[15], ln)) / 1e6;
+      st.subsume_seconds = static_cast<double>(to_i64(f[9], ln)) / 1e6;
+      st.straighten_seconds = static_cast<double>(to_i64(f[10], ln)) / 1e6;
+      st.total_seconds = static_cast<double>(to_i64(f[11], ln)) / 1e6;
     } else if (f[0] == "end") {
       saw_end = true;
       break;

@@ -51,7 +51,7 @@ struct Converted {
 /// Full front-half configuration: conversion options plus the driver-level
 /// policies that wrap them.
 struct PipelineOptions {
-  /// Engine-level conversion knobs (threads, memoize, barrier_mode,
+  /// Engine-level conversion knobs (memoize, barrier_mode,
   /// max_meta_states...). Its stage flags (compress/subsume/straighten/
   /// time_split) select passes when `pipeline` is empty; with an explicit
   /// `pipeline` they are ignored — the pass list is the source of truth.

@@ -33,8 +33,7 @@ bool RunSpec::has(const std::string& pass) const {
 
 std::string RunSpec::convert_key() const {
   return cat(join(pipeline, ","),
-             barrier_mode == core::BarrierMode::PaperPrune ? "-prune" : "",
-             "-t", threads);
+             barrier_mode == core::BarrierMode::PaperPrune ? "-prune" : "");
 }
 
 std::string RunSpec::label() const {
@@ -44,11 +43,10 @@ std::string RunSpec::label() const {
 std::vector<RunSpec> default_matrix() {
   std::vector<RunSpec> m;
   auto add = [&](std::vector<std::string> pipeline, core::BarrierMode mode,
-                 unsigned threads, mimd::SimdEngine engine) {
+                 mimd::SimdEngine engine) {
     RunSpec s;
     s.pipeline = std::move(pipeline);
     s.barrier_mode = mode;
-    s.threads = threads;
     s.engine = engine;
     m.push_back(s);
   };
@@ -57,28 +55,25 @@ std::vector<RunSpec> default_matrix() {
   const std::vector<std::string> base = {"convert", "subsume", "straighten"};
   const std::vector<std::string> comp = {"compress", "convert", "subsume",
                                          "straighten"};
-  // Base pipeline on both engines, plus a threads=2 conversion whose
-  // automaton must be bit-identical to the serial one (checked inside
-  // evaluate()).
-  add(base, BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
-  add(base, BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
-  add(base, BarrierMode::TrackOccupancy, 2, SimdEngine::Codegen);
+  // Base pipeline on both engines.
+  add(base, BarrierMode::TrackOccupancy, SimdEngine::Codegen);
+  add(base, BarrierMode::TrackOccupancy, SimdEngine::Reference);
   // The paper's §2.6 pruning rule (cells the converter must *reject* —
   // compress/spawn/multi-barrier — are asserted inside evaluate()).
-  add(base, BarrierMode::PaperPrune, 1, SimdEngine::Codegen);
-  add(base, BarrierMode::PaperPrune, 1, SimdEngine::Reference);
+  add(base, BarrierMode::PaperPrune, SimdEngine::Codegen);
+  add(base, BarrierMode::PaperPrune, SimdEngine::Reference);
   // §2.5 compression, with and without Fig. 5 subsumption.
-  add(comp, BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
-  add(comp, BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
-  add({"compress", "convert", "straighten"}, BarrierMode::TrackOccupancy, 1,
+  add(comp, BarrierMode::TrackOccupancy, SimdEngine::Codegen);
+  add(comp, BarrierMode::TrackOccupancy, SimdEngine::Reference);
+  add({"compress", "convert", "straighten"}, BarrierMode::TrackOccupancy,
       SimdEngine::Codegen);
   // §2.4 time splitting (restart machinery + split graphs).
   add({"time-split", "convert", "subsume", "straighten"},
-      BarrierMode::TrackOccupancy, 1, SimdEngine::Codegen);
+      BarrierMode::TrackOccupancy, SimdEngine::Codegen);
   add({"time-split", "convert", "subsume", "straighten"},
-      BarrierMode::TrackOccupancy, 1, SimdEngine::Reference);
+      BarrierMode::TrackOccupancy, SimdEngine::Reference);
   // Custom-order coverage: the dme cleanup pass, straighten-less layout.
-  add({"convert", "subsume", "dme"}, BarrierMode::TrackOccupancy, 1,
+  add({"convert", "subsume", "dme"}, BarrierMode::TrackOccupancy,
       SimdEngine::Codegen);
   return m;
 }

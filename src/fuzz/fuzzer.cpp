@@ -42,7 +42,6 @@ core::ConvertOptions convert_options(const RunSpec& spec,
   // spec.pipeline; only the engine-level knobs are set here.
   core::ConvertOptions copts;
   copts.barrier_mode = spec.barrier_mode;
-  copts.threads = spec.threads;
   copts.max_meta_states = cfg.max_meta_states;
   return copts;
 }
@@ -103,8 +102,6 @@ EvalResult evaluate(const std::string& source, const EvalConfig& cfg,
 
   // One conversion per distinct convert_key; nullopt records an explosion.
   std::map<std::string, std::optional<core::ConvertResult>> conversions;
-  // Thread-width determinism: key-without-threads → (first key, dump).
-  std::map<std::string, std::pair<std::string, std::string>> dumps;
   // Engine agreement: convert_key → (spec, outcome) of the first engine.
   std::map<std::string, std::pair<RunSpec, SimdOutcome>> engine_runs;
 
@@ -147,19 +144,6 @@ EvalResult evaluate(const std::string& source, const EvalConfig& cfg,
       } catch (const std::exception& e) {
         return fail(FindingKind::Crash, spec,
                     cat("conversion crashed: ", e.what()));
-      }
-      if (it->second) {
-        // Any thread width must produce a bit-identical automaton.
-        RunSpec serial = spec;
-        serial.threads = 1;
-        const std::string width_key = serial.convert_key();
-        const std::string dump = it->second->automaton.dump();
-        auto [dit, fresh] = dumps.emplace(width_key, std::make_pair(key, dump));
-        if (!fresh && dit->second.second != dump)
-          return fail(FindingKind::StatsMismatch, spec,
-                      cat("automaton differs between conversions ",
-                          dit->second.first, " and ", key,
-                          " (thread-width nondeterminism)"));
       }
     }
     if (!it->second) continue;  // exploded under this mode: nothing to run
@@ -231,17 +215,11 @@ bool reproduces(const std::string& source, const EvalConfig& cfg,
                 const RunSpec& spec, FindingKind kind) {
   std::vector<RunSpec> mini{spec};
   if (kind == FindingKind::StatsMismatch) {
-    // Pair checks need a partner cell: the other engine, and (for
-    // thread-width nondeterminism) the serial conversion.
+    // The engine-pair check needs a partner cell: the other engine.
     RunSpec other = spec;
     other.engine = spec.engine == mimd::SimdEngine::Codegen
                        ? mimd::SimdEngine::Reference
                        : mimd::SimdEngine::Codegen;
-    if (spec.threads != 1) {
-      RunSpec serial = spec;
-      serial.threads = 1;
-      mini.insert(mini.begin(), serial);
-    }
     mini.push_back(other);
   }
   EvalResult ev = evaluate(source, cfg, mini);

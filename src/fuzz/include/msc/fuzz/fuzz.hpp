@@ -62,15 +62,14 @@ class ScopedCoverage {
 
 /// One cell of the differential option matrix: the conversion-stage pass
 /// pipeline to run over the compiled graph, the engine-level conversion
-/// knobs that are not passes (barrier mode, thread width), and which SIMD
-/// engine executes the result.
+/// knob that is not a pass (barrier mode), and which SIMD engine executes
+/// the result.
 struct RunSpec {
   /// Pass names (pass registry) executed over the already-compiled state
   /// graph — config passes, the convert pass, and automaton passes; the
   /// IR passes run once during compilation, outside the matrix.
   std::vector<std::string> pipeline = {"convert", "subsume", "straighten"};
   core::BarrierMode barrier_mode = core::BarrierMode::TrackOccupancy;
-  unsigned threads = 1;
   mimd::SimdEngine engine = mimd::SimdEngine::Codegen;
 
   bool has(const std::string& pass) const;
@@ -81,7 +80,7 @@ struct RunSpec {
 
 /// The full matrix a candidate runs through: pass pipelines (base,
 /// compressed, compressed-without-subsume, time-split) × barrier_mode ×
-/// threads × engine, minus combinations that are redundant or unsound
+/// engine, minus combinations that are redundant or unsound
 /// (PaperPrune cells where the converter must reject the program —
 /// compress, spawn, or >1 barrier state — instead assert the rejection
 /// inside evaluate()).
@@ -91,7 +90,7 @@ std::vector<RunSpec> default_matrix();
 
 enum class FindingKind : std::uint8_t {
   Divergence,     ///< SIMD result/fault disagrees with the MIMD oracle
-  StatsMismatch,  ///< engines or thread widths disagree on stats/automata
+  StatsMismatch,  ///< the two engines disagree on stats/visits
   Crash,          ///< unexpected exception anywhere in the pipeline
   CompileError,   ///< generator/mutator produced an uncompilable program
   UnsoundAccept,  ///< converter accepted a PaperPrune combination it must reject
@@ -127,8 +126,8 @@ struct EvalResult {
 
 /// Differentially evaluate one program across the matrix: MIMD oracle
 /// first, then each conversion+engine cell; compares results (multiset
-/// comparison when the program spawns), fault behaviour, engine-pair
-/// stats, and thread-width automaton determinism.
+/// comparison when the program spawns), fault behaviour, and engine-pair
+/// stats.
 EvalResult evaluate(const std::string& source, const EvalConfig& cfg,
                     const std::vector<RunSpec>& matrix);
 

@@ -33,7 +33,6 @@ struct Manifest {
   /// "convert,subsume,straighten".
   std::string pipeline;
   bool prune = false;
-  unsigned threads = 1;
   std::string engine = "codegen";
   std::string note;
 
@@ -45,8 +44,9 @@ struct Manifest {
 std::string to_json(const Manifest& m);
 
 /// Parse a manifest from its JSON text with json::parse. Unknown keys are
-/// ignored; throws std::runtime_error on malformed JSON (with a byte
-/// offset), a mistyped field, a wrong schema, or a missing source_file.
+/// ignored (older reproducers still carry a retired "threads" key);
+/// throws std::runtime_error on malformed JSON (with a byte offset), a
+/// mistyped field, a wrong schema, or a missing source_file.
 Manifest parse_manifest(const std::string& text);
 
 /// Read `path`, parse it, and (when `source_out` is non-null) also read

@@ -47,7 +47,6 @@ RunSpec Manifest::spec() const {
   }
   s.barrier_mode = prune ? core::BarrierMode::PaperPrune
                          : core::BarrierMode::TrackOccupancy;
-  s.threads = threads;
   try {
     s.engine = simd::parse_engine(engine);
   } catch (const std::invalid_argument& e) {
@@ -89,7 +88,6 @@ std::string to_json(const Manifest& m) {
      << ",\n";
   os << "  \"pipeline\": \"" << json_escape(m.pipeline) << "\",\n";
   os << "  \"prune\": " << (m.prune ? "true" : "false") << ",\n";
-  os << "  \"threads\": " << m.threads << ",\n";
   os << "  \"engine\": \"" << json_escape(m.engine) << "\",\n";
   os << "  \"note\": \"" << json_escape(m.note) << "\"\n";
   os << "}\n";
@@ -114,7 +112,6 @@ Manifest parse_manifest(const std::string& text) {
   read(doc, "reuse_halted_pes", m.reuse_halted_pes);
   read(doc, "pipeline", m.pipeline);
   read(doc, "prune", m.prune);
-  read(doc, "threads", m.threads);
   read(doc, "engine", m.engine);
   read(doc, "note", m.note);
   if (m.source_file.empty())
@@ -154,7 +151,6 @@ Manifest manifest_for(const Finding& finding, const EvalConfig& cfg,
   const RunSpec& s = finding.spec;
   m.pipeline = join(s.pipeline, ",");
   m.prune = s.barrier_mode == core::BarrierMode::PaperPrune;
-  m.threads = s.threads;
   m.engine = simd::engine_name(s.engine);
   // First line of the detail is enough context for a human reader.
   const std::size_t nl = finding.detail.find('\n');

@@ -36,7 +36,7 @@ class PipelineError : public std::runtime_error {
 struct PipelineState {
   ir::StateGraph graph;      ///< mutated in place by IR passes
   ir::CostModel cost;
-  /// Engine-level conversion knobs (threads, memoize, barrier_mode,
+  /// Engine-level conversion knobs (memoize, barrier_mode,
   /// max_meta_states). The stage flags inside (compress/time_split/
   /// subsume/straighten) are owned by the pipeline: config passes set
   /// them, the convert pass consumes them — callers should leave them at

@@ -11,7 +11,6 @@
 #include "msc/ir/peephole.hpp"
 #include "msc/pass/pass.hpp"
 #include "msc/support/str.hpp"
-#include "msc/support/trace.hpp"
 
 namespace msc::pass {
 
@@ -41,7 +40,6 @@ void run_convert(PipelineState& st, Counters& counters) {
   // engine-internal variants stay off so each boundary is observable.
   o.subsume = false;
   o.straighten = false;
-  const std::int64_t t_start = st.trace_sink ? st.trace_sink->now_us() : 0;
   try {
     st.conversion = core::meta_state_convert(st.graph, st.cost, o);
   } catch (const core::ExplosionError&) {
@@ -56,31 +54,13 @@ void run_convert(PipelineState& st, Counters& counters) {
     st.conversion = core::meta_state_convert(st.graph, st.cost, o);
   }
   const core::ConvertStats& s = st.conversion->stats;
-  if (st.trace_sink) {
-    // Phase child spans inside the pass's span. The engine accumulates
-    // phase seconds rather than timestamps (phases interleave across §2.4
-    // restart rounds), so render them back-to-back from the pass start —
-    // the proportions are what the trace is for.
-    std::int64_t t = t_start;
-    const auto phase = [&](const char* name, double seconds) {
-      const auto us = static_cast<std::int64_t>(seconds * 1e6);
-      st.trace_sink->complete(name, "convert-phase",
-                              telemetry::TraceSink::kToolchainPid, /*tid=*/1,
-                              t, us);
-      t += us;
-    };
-    phase("expand", s.expand_seconds);
-    phase("merge", s.merge_seconds);
-  }
   counters = {{"reach_calls", static_cast<std::int64_t>(s.reach_calls)},
               {"restarts", s.restarts},
               {"splits_performed", s.splits_performed},
               {"cache_hits", static_cast<std::int64_t>(s.cache_hits)},
               {"cache_misses", static_cast<std::int64_t>(s.cache_misses)},
               {"cache_invalidated",
-               static_cast<std::int64_t>(s.cache_invalidated)},
-              {"batches", static_cast<std::int64_t>(s.batches)},
-              {"threads", s.threads_used}};
+               static_cast<std::int64_t>(s.cache_invalidated)}};
 }
 
 std::vector<Pass> builtin_passes() {

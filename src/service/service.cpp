@@ -102,6 +102,33 @@ void merge_cache_state(RequestTrace& rt, const std::string& state) {
     rt.cache_state = state;
 }
 
+/// The conversion cache's ErrorCapture: each waiter on a failed compile
+/// gets its own exception of the type handle_line() maps to an error kind.
+/// Conversion raises no other typed error, so anything else rebuilds as
+/// the internal error the dispatcher would report for it anyway.
+ErrorFactory rebuild_conversion_error(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const core::ExplosionError& e) {
+    return [limit = e.limit()] {
+      return std::make_exception_ptr(core::ExplosionError(limit));
+    };
+  } catch (const CompileError& e) {
+    // what() is "<loc>: <message>"; the constructor adds the prefix back.
+    std::string message =
+        std::string(e.what()).substr(e.loc().to_string().size() + 2);
+    return [loc = e.loc(), message] {
+      return std::make_exception_ptr(CompileError(loc, message));
+    };
+  } catch (const pass::PipelineError& e) {
+    return [what = std::string(e.what())] {
+      return std::make_exception_ptr(pass::PipelineError(what));
+    };
+  } catch (...) {
+    return rebuild_as_runtime_error(error);
+  }
+}
+
 /// Latency histogram edges (µs): fixed so p50/p95/p99 are derivable from
 /// bucket counts by any scraper without configuration.
 const std::vector<std::int64_t>& latency_bounds() {
@@ -114,7 +141,8 @@ const std::vector<std::int64_t>& latency_bounds() {
 }  // namespace
 
 Service::Service(const ServiceOptions& options)
-    : options_(options), cache_(options.cache_capacity),
+    : options_(options),
+      cache_(options.cache_capacity, rebuild_conversion_error),
       admission_(options.quota),
       labeled_(options.observability.max_label_series),
       epoch_(std::chrono::steady_clock::now()) {

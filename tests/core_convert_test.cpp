@@ -377,7 +377,6 @@ TEST(ConvertStatsJson, ContainsEveryCounter) {
   for (const char* field :
        {"\"meta_states\"", "\"arcs\"", "\"reach_calls\"", "\"splits_performed\"",
         "\"restarts\"", "\"cache\"", "\"hits\"", "\"misses\"", "\"invalidated\"",
-        "\"threads\"", "\"batches\"", "\"phase_seconds\"", "\"expand\"",
-        "\"merge\"", "\"subsume\"", "\"straighten\"", "\"total\""})
+        "\"phase_seconds\"", "\"subsume\"", "\"straighten\"", "\"total\""})
     EXPECT_NE(json.find(field), std::string::npos) << field << "\n" << json;
 }

@@ -1,6 +1,6 @@
 // Replays every checked-in reproducer under tests/corpus/ across the full
 // differential option matrix (compress × subsume × barrier_mode ×
-// time_split × threads × engine): known-tricky shapes keep matching the
+// time_split × engine): known-tricky shapes keep matching the
 // MIMD oracle bit-for-bit, and bugs mscfuzz has found stay fixed — a
 // finding manifest that evaluates clean here proves the defect it once
 // witnessed no longer exists.

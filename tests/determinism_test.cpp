@@ -47,11 +47,12 @@ TEST(Determinism, RandomProgramsStable) {
   }
 }
 
-TEST(Determinism, ParallelConversionBitIdenticalToSerial) {
-  // The parallel frontier expansion must not leak thread timing into the
-  // result: across every option combination, 1-thread and 4-thread (and
-  // all-cores) conversions must produce bit-identical automata — same
-  // state ids, transitions, straightened order, serialized bytes.
+TEST(Determinism, MemoDoesNotChangeResults) {
+  // The successor memo must not leak into the result: across every option
+  // combination, memoized and unmemoized conversions must produce
+  // bit-identical automata — same state ids, transitions, straightened
+  // order, serialized bytes (stats excluded: Module carries default
+  // stats). With split, the memo also survives §2.4 restarts.
   for (const auto& name : {"listing1", "listing3", "branchy4", "oddeven_sort"}) {
     const auto& k = workload::kernel(name);
     const bool multi_barrier =
@@ -70,41 +71,21 @@ TEST(Determinism, ParallelConversionBitIdenticalToSerial) {
             opts.subsume = subsume;
             opts.barrier_mode = mode;
             opts.time_split = split;
-            auto run = [&](unsigned threads) {
-              opts.threads = threads;
+            auto run = [&](bool memoize) {
+              opts.memoize = memoize;
               auto compiled = driver::compile(k.source);
               auto conv = meta_state_convert(compiled.graph, kCost, opts);
               return serialize(
                   Module{std::move(conv.graph), std::move(conv.automaton), {}});
             };
-            std::string serial = run(1);
-            EXPECT_EQ(serial, run(4))
+            EXPECT_EQ(run(true), run(false))
                 << name << " compress=" << compress << " subsume=" << subsume
                 << " prune=" << (mode == BarrierMode::PaperPrune)
                 << " split=" << split;
-            EXPECT_EQ(serial, run(0)) << name << " (threads=all)";
           }
         }
       }
     }
-  }
-}
-
-TEST(Determinism, CacheDoesNotChangeResults) {
-  // Memoized and unmemoized conversions of a restart-heavy workload must
-  // serialize identically (stats excluded — Module carries default stats).
-  std::string src = workload::kernel("branchy4").source;
-  for (bool split : {false, true}) {
-    ConvertOptions opts;
-    opts.time_split = split;
-    auto run = [&](bool memoize) {
-      opts.memoize = memoize;
-      auto compiled = driver::compile(src);
-      auto conv = meta_state_convert(compiled.graph, kCost, opts);
-      return serialize(
-          Module{std::move(conv.graph), std::move(conv.automaton), {}});
-    };
-    EXPECT_EQ(run(true), run(false)) << "split=" << split;
   }
 }
 

@@ -204,7 +204,7 @@ TEST(FuzzSelftest, DefaultMatrixCoversEveryMode) {
   std::vector<std::string> labels;
   bool reference = false, codegen = false, prune = false;
   bool compress = false;
-  bool nosub = false, split = false, threaded = false, dme = false;
+  bool nosub = false, split = false, dme = false;
   for (const RunSpec& s : matrix) {
     labels.push_back(s.label());
     reference |= s.engine == mimd::SimdEngine::Reference;
@@ -214,11 +214,10 @@ TEST(FuzzSelftest, DefaultMatrixCoversEveryMode) {
     nosub |= s.has("compress") && !s.has("subsume");
     split |= s.has("time-split");
     dme |= s.has("dme");
-    threaded |= s.threads > 1;
     EXPECT_TRUE(s.has("convert")) << s.label();
   }
   EXPECT_TRUE(reference && codegen && prune && compress && nosub && split &&
-              threaded && dme);
+              dme);
   std::sort(labels.begin(), labels.end());
   EXPECT_EQ(std::adjacent_find(labels.begin(), labels.end()), labels.end())
       << "duplicate matrix cells";
@@ -228,10 +227,17 @@ TEST(FuzzSelftest, ManifestPipelineRoundTrip) {
   // Manifests replay the pass list verbatim.
   Manifest m = parse_manifest(
       R"({"schema": 1, "source_file": "a.mimdc",
-          "pipeline": "compress,convert,straighten", "threads": 2})");
+          "pipeline": "compress,convert,straighten"})");
   EXPECT_EQ(m.spec().pipeline,
             (std::vector<std::string>{"compress", "convert", "straighten"}));
-  EXPECT_EQ(m.spec().threads, 2u);
+  EXPECT_EQ(to_json(m).find("threads"), std::string::npos);
+
+  // Reproducers written before conversion became serial carry a
+  // "threads" key; it is ignored and the cell replays unchanged.
+  Manifest old = parse_manifest(
+      R"({"schema": 1, "source_file": "a.mimdc",
+          "pipeline": "compress,convert,straighten", "threads": 2})");
+  EXPECT_EQ(old.spec().label(), m.spec().label());
 
   // An empty or absent pipeline is the default conversion pipeline.
   Manifest plain = parse_manifest(R"({"schema": 1, "source_file": "a.mimdc"})");

@@ -3,6 +3,7 @@
 // the shared conversion cache is single-miss for identical concurrent
 // compiles; per-tenant quotas hold under contention; and shutdown with
 // requests in flight answers everything already read, then stops clean.
+// The suites that race threads also run under TSan in CI.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,9 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "msc/core/convert.hpp"
 #include "msc/service/client.hpp"
 #include "msc/service/daemon.hpp"
 #include "msc/service/service.hpp"
+#include "msc/support/diag.hpp"
 #include "msc/support/json.hpp"
 #include "msc/support/str.hpp"
 
@@ -56,6 +59,41 @@ const char* kSourceB =
 
 std::string quoted(const std::string& s) {
   return cat("\"", json_escape(s), "\"");
+}
+
+/// One computing thread plus `waiters` requesters of the same key, held in
+/// flight until every waiter is blocked on the slot; the computation then
+/// throws whatever `fail` throws. Returns each thread's caught exception.
+template <typename Fail>
+std::vector<std::exception_ptr> fail_in_flight(service::ConversionCache& cache,
+                                               const std::string& key,
+                                               int waiters, Fail fail) {
+  std::atomic<bool> release{false};
+  std::vector<std::exception_ptr> caught(static_cast<std::size_t>(waiters) + 1);
+  const auto request = [&](std::size_t slot) {
+    try {
+      cache.get_or_compute(
+          key, [&]() -> std::shared_ptr<const service::CachedConversion> {
+            while (!release.load()) std::this_thread::yield();
+            fail();
+            return nullptr;
+          });
+    } catch (...) {
+      caught[slot] = std::current_exception();
+    }
+  };
+  const std::int64_t misses = cache.stats().misses;
+  const std::int64_t waits = cache.stats().inflight_waits;
+  std::vector<std::thread> threads;
+  threads.emplace_back(request, 0);
+  while (cache.stats().misses == misses) std::this_thread::yield();
+  for (int t = 1; t <= waiters; ++t)
+    threads.emplace_back(request, static_cast<std::size_t>(t));
+  while (cache.stats().inflight_waits < waits + waiters)
+    std::this_thread::yield();
+  release = true;
+  for (std::thread& t : threads) t.join();
+  return caught;
 }
 
 std::string compile_frame(const std::string& source,
@@ -232,6 +270,56 @@ TEST(ServiceConcurrency, ExplosionQuotaHoldsUnderContention) {
   // Serially, bomber is now always rejected — deterministically.
   json::Value doc = json::parse(svc.handle_line(bomb));
   EXPECT_EQ(doc.at("error").at("kind").as_string(), "quota-exceeded");
+}
+
+TEST(ServiceConcurrency, CacheWaitersEachThrowTheirOwnTypedError) {
+  // A failed conversion reaches every in-flight waiter with the type the
+  // dispatcher maps to an error kind, but as an exception object of the
+  // waiter's own: a shared one is a data race between the threads that
+  // read its message and the one that frees it.
+  service::Service svc;
+  constexpr int kWaiters = 4;
+  const auto distinct = [](const std::vector<std::exception_ptr>& caught) {
+    for (std::size_t i = 0; i < caught.size(); ++i)
+      for (std::size_t j = i + 1; j < caught.size(); ++j)
+        if (caught[i] == caught[j]) return false;
+    return true;
+  };
+
+  const std::string compile_what = CompileError({3, 7}, "no such thing").what();
+  auto caught = fail_in_flight(svc.cache(), "compile", kWaiters, [] {
+    throw CompileError({3, 7}, "no such thing");
+  });
+  for (const std::exception_ptr& e : caught) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const CompileError& err) {
+      EXPECT_EQ(std::string(err.what()), compile_what);
+      EXPECT_EQ(err.loc().line, 3u);
+      EXPECT_EQ(err.loc().col, 7u);
+    } catch (...) {
+      ADD_FAILURE() << "waiter lost the CompileError type";
+    }
+  }
+  EXPECT_TRUE(distinct(caught));
+
+  caught = fail_in_flight(svc.cache(), "explode", kWaiters,
+                          [] { throw core::ExplosionError(42); });
+  for (const std::exception_ptr& e : caught) {
+    try {
+      std::rethrow_exception(e);
+    } catch (const core::ExplosionError& err) {
+      EXPECT_EQ(err.limit(), 42u);
+      EXPECT_EQ(std::string(err.what()), core::ExplosionError(42).what());
+    } catch (...) {
+      ADD_FAILURE() << "waiter lost the ExplosionError type";
+    }
+  }
+  EXPECT_TRUE(distinct(caught));
+
+  // Errors are published, not retained.
+  EXPECT_EQ(svc.cache().stats().entries, 0);
+  EXPECT_EQ(svc.cache().stats().misses, 2);
 }
 
 TEST(ServiceConcurrency, BlockBudgetRejectsOversizedRun) {

@@ -155,8 +155,7 @@ TEST(ServiceProtocol, CompileMatchesStandaloneMsccOnCorpus) {
     json::Value daemon_stats = json::parse(doc.at("stats").as_string());
     json::Value local_stats = json::parse(read_file(trace));
     for (const char* field : {"meta_states", "arcs", "reach_calls",
-                              "splits_performed", "restarts", "threads",
-                              "batches"})
+                              "splits_performed", "restarts"})
       EXPECT_EQ(daemon_stats.at(field).as_int(), local_stats.at(field).as_int())
           << name << " " << field;
   }

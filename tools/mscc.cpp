@@ -87,9 +87,6 @@ int usage() {
       "conversion engine:\n"
       "  --no-cache          disable the successor-set memo cache (it\n"
       "                      otherwise survives --split restarts)\n"
-      "  --threads N         frontier-expansion workers; 1 = serial,\n"
-      "                      0 = all cores; output is bit-identical for\n"
-      "                      every N\n"
       "  --max-meta-states N abort conversion (exit 4) past N meta states\n"
       "  --trace-convert F   write conversion stats JSON (cache hits/misses,\n"
       "                      restarts, per-phase wall time) to F; '-' = stdout\n"
@@ -339,8 +336,6 @@ int main(int argc, char** argv) {
     else if (arg == "--prune") copts.barrier_mode = core::BarrierMode::PaperPrune;
     else if (arg == "--split") copts.time_split = true;
     else if (arg == "--no-cache") copts.memoize = false;
-    else if (arg == "--threads")
-      copts.threads = static_cast<unsigned>(std::atoll(next().c_str()));
     else if (arg == "--max-meta-states")
       copts.max_meta_states =
           static_cast<std::size_t>(std::atoll(next().c_str()));
