@@ -35,6 +35,11 @@ struct VerifiedCase {
   /// nprocs / initial_active / reuse_halted_pes preset for this instance.
   /// Engine and limits are left at their defaults for the caller to set.
   mimd::RunConfig config;
+  /// A RunConfig::max_blocks that covers the MIMD oracle's run, and the
+  /// SIMD machine's far fewer meta transitions: participating PEs × (loop
+  /// trips + 1) × 16 blocks. The loop bodies run 4–9 blocks per trip, and
+  /// the extra trip covers the code around the loop.
+  std::int64_t max_blocks = 0;
   bool uses_seed_input = false;  ///< reads the seeded poly global `x`
   bool uses_spawn = false;
   /// The alive-PE count falls while the kernel runs (halt/tree collapse)

@@ -9,8 +9,6 @@ namespace msc::kernels {
 
 namespace {
 
-
-
 std::int64_t input(const VerifiedParams& p, std::int64_t pe) {
   return driver::seed_input(p.input_seed, pe);
 }
@@ -37,6 +35,19 @@ VerifiedCase shell(std::string name, std::string description,
   return c;
 }
 
+/// VerifiedCase::max_blocks for `pes` PEs that each make at most `trips`
+/// trips around the kernel's loop.
+std::int64_t block_bound(std::int64_t pes, std::int64_t trips) {
+  return pes * (trips + 1) * 16;
+}
+
+/// Trips of a `while (stride < n) stride = stride * 2` loop: ceil(log2 n).
+std::int64_t doublings(std::int64_t n) {
+  std::int64_t trips = 0;
+  for (std::int64_t stride = 1; stride < n; stride *= 2) ++trips;
+  return trips;
+}
+
 // ---------------------------------------------------------------------------
 // reduce — tree reduction over the seeded inputs. Non-receivers halt at
 // each level, so the alive count collapses n → 1 (the canonical occupancy-
@@ -49,6 +60,7 @@ VerifiedCase make_reduce(const VerifiedParams& p) {
       p, p.n);
   c.uses_seed_input = true;
   c.sheds_occupancy = true;
+  c.max_blocks = block_bound(p.n, doublings(p.n));
   c.source = cat(R"(poly int x;
 poly int buf;
 
@@ -96,6 +108,7 @@ VerifiedCase make_scan(const VerifiedParams& p) {
       "occupancy, log2(n) double-barrier rounds)",
       p, p.n);
   c.uses_seed_input = true;
+  c.max_blocks = block_bound(p.n, doublings(p.n));
   c.source = cat(R"(poly int x;
 poly int buf;
 
@@ -145,6 +158,7 @@ VerifiedCase make_oddeven(const VerifiedParams& p) {
       "p-th smallest key after n compare-exchange phases",
       p, p.n);
   c.uses_seed_input = true;
+  c.max_blocks = block_bound(p.n, p.n);
   c.source = cat(R"(poly int x;
 poly int buf;
 
@@ -199,6 +213,7 @@ VerifiedCase make_stencil(const VerifiedParams& p) {
       "boundaries, 4 fixed iterations",
       p, p.n);
   c.uses_seed_input = true;
+  c.max_blocks = block_bound(p.n, kStencilIters);
   c.source = cat(R"(poly int x;
 poly int buf;
 
@@ -262,6 +277,7 @@ VerifiedCase make_bfs(const VerifiedParams& p) {
       "a fixed sparse digraph; sources = PE 0 and seeds divisible by 7",
       p, p.n);
   c.uses_seed_input = true;
+  c.max_blocks = block_bound(p.n, kBfsRounds);
   c.source = cat(R"(poly int x;
 poly int buf;
 
@@ -344,6 +360,8 @@ VerifiedCase make_workqueue(const VerifiedParams& p) {
       p, parents);
   c.uses_spawn = true;
   c.sheds_occupancy = true;
+  // Parents loop `items` times; a child's weight loop runs at most 23.
+  c.max_blocks = block_bound(p.n, std::max<std::int64_t>(items, 23));
   c.source = cat(R"(int main() {
   poly int i;
   i = 0;

@@ -1,10 +1,10 @@
 // The default SIMD engine (DESIGN.md §7, §11): occupancy-indexed
 // execution of the translated program from codegen/translate.cpp.
 //
-//  - occ_[s] holds the ids of the PEs sitting in MIMD state s; apc_ (the
-//    aggregate pc), alive_, and the base machine's spawn pool free_ are
-//    maintained incrementally at the pc commit of each meta state instead
-//    of by the reference engine's full scans per step;
+//  - occ(s) holds the PEs whose pc is s, the engine's only pc store: pc
+//    ops record mask moves that commit() applies word by word at the end
+//    of each meta state, keeping apc_ (the aggregate pc), alive_ and the
+//    base machine's spawn pool free_ current without per-PE scans;
 //  - one loop runs every fused same-guard group: the enable set is the OR
 //    of the guard states' occ_ words (a lane mask, bit order = PE order),
 //    and the group's precomputed cycle aggregates are charged in O(1);
@@ -48,42 +48,42 @@ CodegenSimdMachine::CodegenSimdMachine(const codegen::SimdProgram& program,
                                        const mimd::RunConfig& config)
     : SimdMachine(program, cost, config),
       trans_(codegen::translate(program, cost)),
-      occ_(prog_.mimd_states, DynBitset(static_cast<std::size_t>(config_.nprocs))),
-      occ_count_(prog_.mimd_states, 0),
+      nwords_(lanes_.mask_words()),
+      occ_(prog_.mimd_states * nwords_, 0),
       apc_(prog_.mimd_states),
-      lane_mask_(lanes_.mask_words(), 0) {
-  for (std::int64_t i = 0; i < config_.nprocs; ++i) {
-    Pe& pe = pes_[static_cast<std::size_t>(i)];
-    pe.next_pc = pe.pc;
-    if (pe.pc != kNoState) {
-      occ_[static_cast<std::size_t>(pe.pc)].set(static_cast<std::size_t>(i));
-      if (occ_count_[static_cast<std::size_t>(pe.pc)]++ == 0)
-        apc_.set(static_cast<std::size_t>(pe.pc));
-      ++alive_;
-    }
-  }
+      alive_(config_.active()),
+      leave_(nwords_, 0),
+      arrive_(occ_.size(), 0),
+      targets_(prog_.mimd_states),
+      split_(2 * nwords_, 0),
+      lane_mask_(nwords_, 0) {
+  if (alive_ == 0) return;
+  const std::size_t start = static_cast<std::size_t>(start_pc());
+  for (std::size_t w = 0; w < nwords_; ++w) occ(start)[w] = ever_ran_.word(w);
+  apc_.set(start);
 }
 
-void CodegenSimdMachine::lane_set_next_pc(std::int64_t pe,
-                                          ir::StateId target) {
-  pes_[static_cast<std::size_t>(pe)].next_pc = target;
-  moved_.push_back(pe);
+void CodegenSimdMachine::lane_move(const std::uint64_t* mask,
+                                   ir::StateId target) {
+  for (std::size_t w = 0; w < nwords_; ++w) leave_[w] |= mask[w];
+  if (target == kNoState) return;
+  std::uint64_t* to = arrive(static_cast<std::size_t>(target));
+  for (std::size_t w = 0; w < nwords_; ++w) to[w] |= mask[w];
+  targets_.set(static_cast<std::size_t>(target));
 }
 
 std::int64_t CodegenSimdMachine::build_lane_mask(
     const std::vector<ir::StateId>& guard_states) {
   std::fill(lane_mask_.begin(), lane_mask_.end(), 0);
-  std::int64_t enabled = 0;
   for (ir::StateId s : guard_states) {
     const std::size_t si = static_cast<std::size_t>(s);
-    if (occ_count_[si] == 0) continue;
-    enabled += occ_count_[si];
-    const DynBitset& pes = occ_[si];
-    // DynBitset words hold ceil(nprocs/64) == mask_words() words; pads
-    // beyond nprocs are never set, so pad PEs are never enabled.
-    for (std::size_t w = 0; w < pes.word_size(); ++w)
-      lane_mask_[w] |= pes.word(w);
+    if (!apc_.test(si)) continue;
+    // Pads beyond nprocs are never set, so pad PEs are never enabled.
+    const std::uint64_t* pes = occ(si);
+    for (std::size_t w = 0; w < nwords_; ++w) lane_mask_[w] |= pes[w];
   }
+  std::int64_t enabled = 0;  // the occ rows are disjoint
+  for (std::uint64_t w : lane_mask_) enabled += __builtin_popcountll(w);
   return enabled;
 }
 
@@ -95,27 +95,38 @@ LaneExecutor& CodegenSimdMachine::lane_executor() {
 }
 
 void CodegenSimdMachine::commit() {
-  for (std::int64_t i : moved_) {
-    Pe& pe = pes_[static_cast<std::size_t>(i)];
-    if (pe.next_pc == pe.pc) continue;  // e.g. a self-loop branch target
-    if (pe.pc != kNoState) {
-      std::size_t old_pc = static_cast<std::size_t>(pe.pc);
-      occ_[old_pc].reset(static_cast<std::size_t>(i));
-      if (--occ_count_[old_pc] == 0) apc_.reset(old_pc);
-    } else {
-      ++alive_;  // spawned child comes to life
+  // Leave first, so a PE moving s -> s (a self-loop) lands back in s.
+  // Spawned children sit in no occ row; they only arrive.
+  for (std::size_t s : apc_.bits()) {
+    std::uint64_t* row = occ(s);
+    std::uint64_t rest = 0;
+    for (std::size_t w = 0; w < nwords_; ++w) {
+      const std::uint64_t gone = row[w] & leave_[w];
+      alive_ -= __builtin_popcountll(gone);
+      rest |= row[w] ^= gone;
     }
-    if (pe.next_pc != kNoState) {
-      std::size_t new_pc = static_cast<std::size_t>(pe.next_pc);
-      occ_[new_pc].set(static_cast<std::size_t>(i));
-      if (occ_count_[new_pc]++ == 0) apc_.set(new_pc);
-    } else {
-      --alive_;  // halted; §3.2.5: returns to the pool only under reuse
-      if (config_.reuse_halted_pes) free_.set(static_cast<std::size_t>(i));
-    }
-    pe.pc = pe.next_pc;
+    if (rest == 0) apc_.reset(s);
   }
-  moved_.clear();
+  for (std::size_t t : targets_.bits()) {
+    std::uint64_t* row = occ(t);
+    std::uint64_t* in = arrive(t);
+    std::uint64_t came = 0;  // a CondSetPc branch may take no PE
+    for (std::size_t w = 0; w < nwords_; ++w) {
+      alive_ += __builtin_popcountll(in[w]);
+      came |= in[w];
+      row[w] |= in[w];
+      leave_[w] &= ~in[w];
+      in[w] = 0;
+    }
+    if (came != 0) apc_.set(t);
+  }
+  targets_.clear();
+  // What left and arrived nowhere halted. §3.2.5: a halted PE returns to
+  // the spawn pool only under reuse.
+  if (config_.reuse_halted_pes)
+    for_each_lane_bit(leave_.data(), nwords_,
+                      [&](std::size_t k) { free_.set(k); });
+  std::fill(leave_.begin(), leave_.end(), 0);
 }
 
 const LanePlan& CodegenSimdMachine::plan_for(MetaId id, const TransState& ts) {
@@ -166,10 +177,12 @@ void CodegenSimdMachine::lane_scalar_span(std::int32_t first, std::int32_t end,
   for_each_lane_bit(mask, nwords, [&](std::size_t k) {
     enabled_scratch_.push_back(static_cast<std::int64_t>(k));
   });
-  run_ops(cur_group_->code.data() + first, cur_group_->code.data() + end);
+  run_ops(cur_group_->code.data() + first, cur_group_->code.data() + end,
+          mask);
 }
 
-void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end) {
+void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end,
+                                 const std::uint64_t* mask) {
   if (op == end) return;
   const std::int64_t* const pe_begin = enabled_scratch_.data();
   const std::int64_t* const pe_end = pe_begin + enabled_scratch_.size();
@@ -271,38 +284,32 @@ void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end) {
   }
   MSC_NEXT();
 
-  MSC_TOP(SetPc) {
-    for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
-      pes_[static_cast<std::size_t>(*p)].next_pc = op->a;
-      moved_.push_back(*p);
-    }
-  }
+  MSC_TOP(SetPc) { lane_move(mask, op->a); }
   MSC_NEXT();
 
   MSC_TOP(CondSetPc) {
-    for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
-      Value cond = ir::stack_pop(lanes_.stack(*p));
-      pes_[static_cast<std::size_t>(*p)].next_pc = cond.truthy() ? op->a
-                                                                 : op->b;
-      moved_.push_back(*p);
-    }
+    std::uint64_t* taken = split_.data();
+    split_lane_mask(mask, nwords_, taken, taken + nwords_, [&](std::size_t k) {
+      return ir::stack_pop(lanes_.stack(static_cast<std::int64_t>(k))).truthy();
+    });
+    lane_move(taken, op->a);
+    lane_move(taken + nwords_, op->b);
   }
   MSC_NEXT();
 
-  MSC_TOP(HaltPc) {
-    for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
-      pes_[static_cast<std::size_t>(*p)].next_pc = kNoState;
-      moved_.push_back(*p);
-    }
-  }
+  MSC_TOP(HaltPc) { lane_move(mask, kNoState); }
   MSC_NEXT();
 
   MSC_TOP(SpawnPc) {
+    // Parents claim in ascending id, each the lowest free PE; children
+    // arrive at op->a, not leaving any state.
+    std::uint64_t* child_at = arrive(static_cast<std::size_t>(op->a));
     for (const std::int64_t* p = pe_begin; p != pe_end; ++p) {
-      moved_.push_back(claim_child(op->a));
-      pes_[static_cast<std::size_t>(*p)].next_pc = op->b;
-      moved_.push_back(*p);
+      const std::int64_t child = claim_child();
+      child_at[child >> 6] |= std::uint64_t{1} << (child & 63);
     }
+    targets_.set(static_cast<std::size_t>(op->a));
+    lane_move(mask, op->b);
   }
   MSC_NEXT();
 
@@ -312,11 +319,6 @@ void CodegenSimdMachine::run_ops(const TOp* op, const TOp* const end) {
 #endif
 #undef MSC_TOP
 #undef MSC_NEXT
-}
-
-MetaId CodegenSimdMachine::next_state(const MetaCode& mc, DynBitset* apc) {
-  *apc = apc_;
-  return resolve_transition(mc, *apc);
 }
 
 }  // namespace msc::simd

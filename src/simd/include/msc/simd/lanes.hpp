@@ -21,6 +21,7 @@
 // are materialized onto the real per-PE stacks at every boundary, and
 // fault messages/ordering match the scalar interpreter.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,6 +47,19 @@ inline void for_each_lane_bit(const std::uint64_t* mask, std::size_t nwords,
       m &= m - 1;
     }
   }
+}
+
+/// Split `mask` by `pred(pe)`, called once per set bit in ascending PE
+/// id: `taken` gets the PEs where it holds, `other` the rest.
+template <typename F>
+inline void split_lane_mask(const std::uint64_t* mask, std::size_t nwords,
+                            std::uint64_t* taken, std::uint64_t* other,
+                            F&& pred) {
+  std::fill_n(taken, nwords, 0);
+  for_each_lane_bit(mask, nwords, [&](std::size_t k) {
+    if (pred(k)) taken[k / 64] |= std::uint64_t{1} << (k % 64);
+  });
+  for (std::size_t w = 0; w < nwords; ++w) other[w] = mask[w] & ~taken[w];
 }
 
 /// Owns all PE-resident state of a SIMD machine: local memories as one
@@ -136,9 +150,9 @@ enum class LOpKind : std::uint8_t {
   PopLane,        ///< drop n virtual slots
   ProcIdLane,     ///< push iota
   NProcsLane,     ///< push broadcast nprocs
-  SetPcLane,      ///< enabled PEs: next_pc = a
-  CondSetPcLane,  ///< pop cond; enabled PEs: next_pc = truthy ? a : b
-  HaltPcLane,     ///< enabled PEs: next_pc = none
+  SetPcLane,      ///< move the enabled PEs to a
+  CondSetPcLane,  ///< pop cond; move the enabled PEs to truthy ? a : b
+  HaltPcLane,     ///< move the enabled PEs to none
   Materialize,    ///< push all virtual slots (bottom-up) onto real stacks
   ScalarSpan,     ///< engine executes source ops [src, src_end) per PE
 };
@@ -199,14 +213,15 @@ struct LaneKernels {
 const LaneKernels& lane_kernels(SimdIsa isa);
 
 /// Engine services the executor cannot perform itself: per-PE execution
-/// of a ScalarSpan of the group's TOps and next-pc writes (which must
-/// maintain the engine's moved_ bookkeeping).
+/// of a ScalarSpan of the group's TOps, and pc writes. A pc write is one
+/// mask-level move: every PE in `mask` takes `target` (kNoState: halt) as
+/// its pc when the engine commits the meta state.
 class LaneHost {
  public:
   virtual void lane_scalar_span(std::int32_t first, std::int32_t end,
                                 const std::uint64_t* mask,
                                 std::size_t nwords) = 0;
-  virtual void lane_set_next_pc(std::int64_t pe, ir::StateId target) = 0;
+  virtual void lane_move(const std::uint64_t* mask, ir::StateId target) = 0;
 
  protected:
   ~LaneHost() = default;
@@ -248,6 +263,8 @@ class LaneExecutor {
   const LaneKernels* kernels_;
   std::vector<LaneBuf> bufs_;
   std::vector<std::int32_t> slot_buf_;  ///< slot depth -> buffer index
+  /// CondSetPcLane's split of the mask: taken, then not taken.
+  std::vector<std::uint64_t> split_;
   std::int32_t depth_ = 0;
 };
 

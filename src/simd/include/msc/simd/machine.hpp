@@ -111,8 +111,9 @@ class SimdTracer {
 /// subscripts. Per-PE program memory footprint is zero by construction.
 ///
 /// This is the engine-independent interface plus the shared substrate
-/// (PE/mono memory, the §3.2.5 spawn pool, stats, visit counts, the step()
-/// skeleton and the transition-table lookup). Two engines implement the
+/// (PE/mono memory, the §3.2.5 spawn pool, ever-ran flags, stats, visit
+/// counts, the step() skeleton and the transition-table lookup). It holds
+/// no per-PE pc: each engine keeps its own. Two engines implement the
 /// per-broadcast hot path — see mimd::SimdEngine and make_machine(); their
 /// observable behaviour is bit-identical by contract
 /// (simd_differential_test).
@@ -166,7 +167,7 @@ class SimdMachine : public ir::MemoryBus {
   /// trace occupancy over time.
   bool step();
   core::MetaId current_state() const { return cur_; }
-  virtual std::int64_t alive_count() const;
+  virtual std::int64_t alive_count() const = 0;
   /// Machine width (RunConfig::nprocs) — partition bookkeeping for the
   /// co-scheduler and reporting tools.
   std::int64_t nprocs() const { return config_.nprocs; }
@@ -179,7 +180,7 @@ class SimdMachine : public ir::MemoryBus {
 
   const SimdStats& stats() const { return stats_; }
   bool ever_ran(std::int64_t proc) const {
-    return pes_[static_cast<std::size_t>(proc)].ever_ran;
+    return ever_ran_.test(static_cast<std::size_t>(proc));
   }
   /// Per-meta-state execution counts (benches, --trace-simd).
   const std::vector<std::int64_t>& state_visits() const { return visits_; }
@@ -191,43 +192,29 @@ class SimdMachine : public ir::MemoryBus {
   void route_store(std::int64_t proc, std::int64_t addr, Value v) override;
 
  protected:
-  /// Per-PE control state only: local memory and operand stacks moved to
-  /// the shared lane-major store (lanes_), so the engines no longer own PE
-  /// memory and whole-lane execution needs no per-PE indirection.
-  struct Pe {
-    ir::StateId pc = ir::kNoState;
-    ir::StateId next_pc = ir::kNoState;
-    bool ever_ran = false;
-  };
-
-  bool alive(const Pe& pe) const { return pe.pc != ir::kNoState; }
-
   /// Run one meta state's guarded broadcasts and commit the pc updates.
   virtual void exec_state(const codegen::MetaCode& mc) = 0;
-  /// Produce the post-exec aggregate pc into *apc (a single computation
-  /// per step, shared by the transition and the tracer) and resolve the
-  /// exit transition via resolve_transition().
-  virtual core::MetaId next_state(const codegen::MetaCode& mc,
-                                  DynBitset* apc) = 0;
-  /// Is any PE running? (pre-first-step emptiness check)
-  virtual bool any_alive() const;
-  /// Current occupancy for the tracer (only called when a tracer is set).
-  virtual DynBitset occupancy() const { return aggregate_pc(); }
+  /// The aggregate pc: bit s set iff some PE's pc is s. step() asks once
+  /// per meta state for the transition, and again for observers.
+  virtual DynBitset aggregate_pc() const = 0;
 
   /// Transition-table lookup shared by both engines: charges the static
   /// transition cost, counts global-ors, and resolves Direct/Multiway/
   /// rescue exactly as §3.2.1–3.2.4 prescribe.
   core::MetaId resolve_transition(const codegen::MetaCode& mc,
                                   const DynBitset& apc);
-  /// O(nprocs) occupancy scan (reference path; tracer fallback).
-  DynBitset aggregate_pc() const;
+  /// Where the initially active PEs start (SPMD: the start meta state's
+  /// one member).
+  ir::StateId start_pc() const {
+    return static_cast<ir::StateId>(prog_.states[prog_.start].members.first());
+  }
   void check_local(std::int64_t proc, std::int64_t addr) const;
   /// §3.2.5 spawn, shared by both engines: take the lowest-numbered PE in
   /// free_ (the PE the historical linear search from PE 0 found), fault
-  /// when the pool is empty, reset the child's memory and stack and point
-  /// its next_pc at `entry`. Returns the child's id; the caller commits
-  /// its pc with the meta state's other updates.
-  std::int64_t claim_child(ir::StateId entry);
+  /// when the pool is empty, reset the child's memory and stack and mark
+  /// it ever-ran. Returns the child's id; the caller sets its pc, committed
+  /// with the meta state's other updates.
+  std::int64_t claim_child();
 
   /// Validate nprocs/initial_active before any allocation (MachineFault on
   /// bad configs, matching the historical construction order).
@@ -239,7 +226,8 @@ class SimdMachine : public ir::MemoryBus {
   /// Lane-major SoA local memories + per-PE operand stacks (both engines).
   LaneStore lanes_;
   SimdIsa isa_ = SimdIsa::Scalar;
-  std::vector<Pe> pes_;
+  /// PEs that were initially active or claimed by a spawn.
+  DynBitset ever_ran_;
   /// The §3.2.5 "pool of free processors": PEs a spawn may claim (pc ==
   /// none, not claimed earlier in this meta state, and fresh unless
   /// reuse_halted_pes). Filled at construction with the PEs that never
@@ -263,20 +251,27 @@ class SimdMachine : public ir::MemoryBus {
 };
 
 /// The original scalar implementation, kept compiled in forever as the
-/// differential oracle: every broadcast scans all nprocs PEs against the
-/// guard and the aggregate pc is a full rescan. Spawns claim from the
-/// base machine's free_ pool like the codegen engine's do.
+/// differential oracle: every PE has its own pc, every broadcast scans all
+/// nprocs PEs against the guard, and the aggregate pc and alive count are
+/// full rescans. Spawns claim from the base machine's free_ pool like the
+/// codegen engine's do.
 class ReferenceSimdMachine final : public SimdMachine {
  public:
   ReferenceSimdMachine(const codegen::SimdProgram& program,
                        const ir::CostModel& cost,
                        const mimd::RunConfig& config);
   const char* engine_name() const override { return "reference"; }
+  std::int64_t alive_count() const override;
 
  protected:
   void exec_state(const codegen::MetaCode& mc) override;
-  core::MetaId next_state(const codegen::MetaCode& mc,
-                          DynBitset* apc) override;
+  DynBitset aggregate_pc() const override;
+
+ private:
+  /// pc_[i] is PE i's MIMD state (kNoState: not running). Within
+  /// exec_state pcs are frozen (lockstep) and pc ops write next_pc_.
+  std::vector<ir::StateId> pc_;
+  std::vector<ir::StateId> next_pc_;
 };
 
 /// The default engine: occupancy-indexed execution of the translated
@@ -291,13 +286,13 @@ class ReferenceSimdMachine final : public SimdMachine {
 /// or hands the mask to the LaneExecutor. Host cost per group is
 /// O(nprocs/64 × occupied guard states + enabled PEs), not O(nprocs).
 ///
-/// Maintained invariants:
-///   occ_[s] == { i | pes_[i].pc == s }, occ_count_[s] == |occ_[s]|,
-///   apc_.test(s) == (occ_count_[s] > 0), alive_ == Σ occ_count_,
-///   pes_[i].next_pc == pes_[i].pc between meta states, and the base's
-///   free_ holds exactly the PEs a spawn may claim. Within exec_state,
-///   pcs are frozen (lockstep semantics) — only next_pc changes, each
-///   changed PE recorded once in moved_.
+/// Maintained invariants: occ_ partitions the running PEs (PE i is in
+/// occ(s) iff its pc is s; there is no per-PE pc), apc_.test(s) iff occ(s)
+/// is not empty, alive_ == Σ |occ(s)|, and the base's free_ holds exactly
+/// the PEs a spawn may claim. Within exec_state occ_ is frozen (lockstep
+/// semantics): pc ops record mask moves and commit() applies them. Each
+/// PE takes at most one pc op per meta state (codegen::generate gives each
+/// member one, guarded by that member alone), so no PE moves twice.
 ///
 /// Observable behaviour — memories, SimdStats, profiles, visits, tracer
 /// streams — is bit-identical to the reference oracle.
@@ -310,10 +305,7 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
 
  protected:
   void exec_state(const codegen::MetaCode& mc) override;
-  core::MetaId next_state(const codegen::MetaCode& mc,
-                          DynBitset* apc) override;
-  bool any_alive() const override { return alive_ > 0; }
-  DynBitset occupancy() const override { return apc_; }
+  DynBitset aggregate_pc() const override { return apc_; }
 
   /// LaneHost: execute TOps [first, end) of the current group for every
   /// masked PE, op-outer / PE-inner. Also runs whole groups: under
@@ -321,40 +313,51 @@ class CodegenSimdMachine final : public SimdMachine, protected LaneHost {
   void lane_scalar_span(std::int32_t first, std::int32_t end,
                         const std::uint64_t* mask,
                         std::size_t nwords) override;
-  /// LaneHost: next-pc write with moved_ bookkeeping.
-  void lane_set_next_pc(std::int64_t pe, ir::StateId target) override;
+  /// LaneHost: record that the masked PEs leave their state for `target`
+  /// (kNoState: halt). O(mask words).
+  void lane_move(const std::uint64_t* mask, ir::StateId target) override;
 
  private:
   /// Dispatch folded host ops [op, end) over enabled_scratch_ (ascending
-  /// PE ids, gathered from the lane mask by lane_scalar_span).
-  void run_ops(const codegen::TOp* op, const codegen::TOp* end);
+  /// PE ids, gathered from `mask` by lane_scalar_span); pc ops record
+  /// moves of `mask`.
+  void run_ops(const codegen::TOp* op, const codegen::TOp* end,
+               const std::uint64_t* mask);
   const LanePlan& plan_for(core::MetaId id, const codegen::TransState& ts);
-  /// OR the occ_ words of the occupied `guard_states` into lane_mask_;
-  /// returns the enabled-PE count (Σ occ_count_ over those states).
+  /// OR the occ_ rows of the occupied `guard_states` into lane_mask_;
+  /// returns the enabled-PE count.
   std::int64_t build_lane_mask(const std::vector<ir::StateId>& guard_states);
   /// Per-machine executor, built on first whole-lane run.
   LaneExecutor& lane_executor();
 
-  /// Apply the next_pc of every PE in moved_, maintaining occ_/apc_/
-  /// alive_/free_ incrementally (end of each meta state).
+  /// Apply the meta state's moves word by word: occ(s) -= leave_ over
+  /// occupied s, occ(t) |= arrive(t) over written targets, and free_ |=
+  /// the halted PEs (leave_ minus every arrival) under reuse.
   void commit();
 
+  /// Row `s` (nwords_ words, bit i = PE i) of occ_ / arrive_.
+  std::uint64_t* occ(std::size_t s) { return occ_.data() + s * nwords_; }
+  std::uint64_t* arrive(std::size_t s) { return arrive_.data() + s * nwords_; }
+
   std::shared_ptr<const codegen::TransProgram> trans_;
-  /// occ_[s] = PE ids whose pc == s (bit order doubles as the PE-id
-  /// execution order the reference engine uses); occ_count_[s] = |occ_[s]|.
-  std::vector<DynBitset> occ_;
-  std::vector<std::int64_t> occ_count_;
-  /// Incremental aggregate pc: bit s set iff occ_count_[s] > 0.
+  std::size_t nwords_;  ///< words per PE mask: lanes_.mask_words()
+  /// occ(s) = PE ids whose pc == s (bit order doubles as the PE-id
+  /// execution order the reference engine uses).
+  std::vector<std::uint64_t> occ_;
+  /// Incremental aggregate pc: bit s set iff occ(s) is not empty.
   DynBitset apc_;
   std::int64_t alive_ = 0;
-  /// PEs with a pending next_pc ≠ pc this meta state (each PE executes at
-  /// most one pc-writing op per state, so entries are unique).
-  std::vector<std::int64_t> moved_;
+
+  // The running meta state's pc moves, all sized at construction.
+  std::vector<std::uint64_t> leave_;   ///< PEs whose pc op ran (halts too)
+  std::vector<std::uint64_t> arrive_;  ///< arrive(t): PEs whose new pc is t
+  DynBitset targets_;                  ///< states t with arrive(t) written
+  std::vector<std::uint64_t> split_;   ///< CondSetPc: taken, not taken
 
   // Scratch reused across groups (no per-group allocation).
   std::vector<std::int64_t> enabled_scratch_;
-  /// The group's enable set (lanes_.mask_words() words, bit i = PE i),
-  /// rebuilt per group by build_lane_mask.
+  /// The group's enable set (nwords_ words, bit i = PE i), rebuilt per
+  /// group by build_lane_mask.
   std::vector<std::uint64_t> lane_mask_;
   std::unique_ptr<LaneExecutor> lane_exec_;
   /// Lazily lowered lane plans, indexed by meta-state id (per machine —

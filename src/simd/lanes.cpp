@@ -357,7 +357,8 @@ LaneExecutor::LaneExecutor(LaneStore& store, ir::MemoryBus& bus,
       nprocs_(nprocs),
       width_(static_cast<std::size_t>(store.width())),
       nwords_(store.mask_words()),
-      kernels_(&lane_kernels(isa)) {}
+      kernels_(&lane_kernels(isa)),
+      split_(2 * nwords_, 0) {}
 
 void LaneExecutor::ensure_depth(std::int32_t depth) {
   while (static_cast<std::int32_t>(bufs_.size()) < depth) {
@@ -575,23 +576,20 @@ void LaneExecutor::run(const LaneRun& r, const std::uint64_t* mask,
         fill_value(push_slot(), Value::of_int(nprocs_));
         break;
       case LOpKind::SetPcLane:
-        for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
-          host.lane_set_next_pc(static_cast<std::int64_t>(k), op.a);
-        });
+        host.lane_move(mask, op.a);
         break;
       case LOpKind::CondSetPcLane: {
-        LaneBuf& c = slot(depth_ - 1);
-        for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
-          const bool t = slot_value(c, k).truthy();
-          host.lane_set_next_pc(static_cast<std::int64_t>(k), t ? op.a : op.b);
-        });
+        const LaneBuf& c = slot(depth_ - 1);
+        std::uint64_t* taken = split_.data();
+        split_lane_mask(mask, nwords_, taken, taken + nwords_,
+                        [&](std::size_t k) { return slot_value(c, k).truthy(); });
+        host.lane_move(taken, op.a);
+        host.lane_move(taken + nwords_, op.b);
         --depth_;
         break;
       }
       case LOpKind::HaltPcLane:
-        for_each_lane_bit(mask, nwords_, [&](std::size_t k) {
-          host.lane_set_next_pc(static_cast<std::int64_t>(k), ir::kNoState);
-        });
+        host.lane_move(mask, ir::kNoState);
         break;
       case LOpKind::Materialize:
         materialize(mask);

@@ -18,7 +18,6 @@ using codegen::MetaCode;
 using codegen::TransKind;
 using core::kNoMeta;
 using core::MetaId;
-using ir::kNoState;
 using ir::MachineFault;
 
 std::int64_t SimdMachine::validated_nprocs(const mimd::RunConfig& config) {
@@ -41,21 +40,13 @@ SimdMachine::SimdMachine(const codegen::SimdProgram& program,
   } catch (const std::invalid_argument& e) {
     throw MachineFault(e.what());
   }
-  pes_.resize(static_cast<std::size_t>(config_.nprocs));
+  ever_ran_ = DynBitset(static_cast<std::size_t>(config_.nprocs));
   free_ = DynBitset(static_cast<std::size_t>(config_.nprocs));
   visits_.assign(prog_.states.size(), 0);
-  for (std::int64_t i = 0; i < config_.nprocs; ++i) {
-    Pe& pe = pes_[static_cast<std::size_t>(i)];
-    if (i < config_.active()) {
-      // All initial PEs begin in the MIMD start state (SPMD restriction).
-      // The start meta state has exactly that one member.
-      const DynBitset& members = prog_.states[prog_.start].members;
-      pe.pc = static_cast<ir::StateId>(members.first());
-      pe.ever_ran = true;
-    } else {
-      free_.set(static_cast<std::size_t>(i));  // never ran: spawnable
-    }
-  }
+  // PEs [0, active) start running (at start_pc(), set by each engine); the
+  // rest never ran and are spawnable.
+  for (std::int64_t i = 0; i < config_.nprocs; ++i)
+    (i < config_.active() ? ever_ran_ : free_).set(static_cast<std::size_t>(i));
   mono_.assign(static_cast<std::size_t>(config_.mono_mem_cells), Value{});
 }
 
@@ -94,17 +85,15 @@ Value SimdMachine::peek_mono(std::int64_t addr) const {
   return mono_[static_cast<std::size_t>(addr)];
 }
 
-std::int64_t SimdMachine::claim_child(ir::StateId entry) {
+std::int64_t SimdMachine::claim_child() {
   const std::size_t child = free_.first();
   if (child == DynBitset::npos)
     throw MachineFault("spawn failed: no free processing element "
                        "(§3.2.5 assumes processes ≤ processors)");
   free_.reset(child);
-  Pe& ch = pes_[child];
-  if (ch.ever_ran) coverage_hit(cov::kSimdSpawnReuse, 1);
+  if (ever_ran_.test(child)) coverage_hit(cov::kSimdSpawnReuse, 1);
   lanes_.clear_pe(static_cast<std::int64_t>(child));
-  ch.next_pc = entry;
-  ch.ever_ran = true;
+  ever_ran_.set(child);
   ++stats_.spawns;
   return static_cast<std::int64_t>(child);
 }
@@ -118,26 +107,6 @@ Value SimdMachine::route_load(std::int64_t proc, std::int64_t addr) {
 void SimdMachine::route_store(std::int64_t proc, std::int64_t addr, Value v) {
   ++stats_.router_ops;
   poke(proc, addr, v);
-}
-
-DynBitset SimdMachine::aggregate_pc() const {
-  DynBitset apc(prog_.mimd_states);
-  for (const Pe& pe : pes_)
-    if (pe.pc != kNoState) apc.set(pe.pc);
-  return apc;
-}
-
-std::int64_t SimdMachine::alive_count() const {
-  std::int64_t n = 0;
-  for (const Pe& pe : pes_)
-    if (pe.pc != kNoState) ++n;
-  return n;
-}
-
-bool SimdMachine::any_alive() const {
-  for (const Pe& pe : pes_)
-    if (pe.pc != kNoState) return true;
-  return false;
 }
 
 MetaId SimdMachine::resolve_transition(const MetaCode& mc,
@@ -181,7 +150,7 @@ bool SimdMachine::step() {
   if (finished_) return false;
   if (cur_ == kNoMeta) {  // first step
     cur_ = prog_.start;
-    if (!any_alive()) {
+    if (alive_count() == 0) {
       finished_ = true;
       return false;
     }
@@ -190,7 +159,7 @@ bool SimdMachine::step() {
   ++visits_[cur_];
   // Tracer inputs are computed lazily: an untraced run pays no occupancy
   // or alive-count work here in either engine.
-  if (tracer_) tracer_->on_state(cur_, occupancy(), alive_count());
+  if (tracer_) tracer_->on_state(cur_, aggregate_pc(), alive_count());
   // Observability snapshot: deltas against `pre` are attributed to this
   // state after the transition resolves. One bool test when detached.
   const bool observe = profiling_ || trace_sink_ != nullptr;
@@ -204,10 +173,10 @@ bool SimdMachine::step() {
   exec_state(mc);
   ++stats_.meta_transitions;
   if (stats_.meta_transitions > config_.max_blocks) throw mimd::Timeout();
-  // One aggregate-pc computation per step, produced by next_state() and
-  // reused for the tracer (the seed engine recomputed it three times).
-  DynBitset apc;
-  MetaId next = next_state(mc, &apc);
+  // One aggregate-pc computation per step, shared by the transition and
+  // the tracer.
+  const DynBitset apc = aggregate_pc();
+  const MetaId next = resolve_transition(mc, apc);
   if (tracer_) tracer_->on_transition(cur_, next, apc);
   if (observe) record_step(executing, pre, pre_alive);
   if (coverage_sink())
@@ -272,7 +241,7 @@ void SimdMachine::record_step(MetaId state, const SimdStats& pre,
         /*tid=*/0, /*ts_us=*/pre.control_cycles, /*dur_us=*/d_control,
         {{"state", state},
          {"enabled_pes", pre_alive},
-         {"occupied_states", static_cast<std::int64_t>(occupancy().count())},
+         {"occupied_states", static_cast<std::int64_t>(aggregate_pc().count())},
          {"busy_pe_cycles", d_busy},
          {"offered_pe_cycles", d_offered},
          {"global_ors", d_gor},

@@ -1,5 +1,6 @@
 // The original scalar SIMD engine, kept as the differential oracle: every
-// broadcast scans all nprocs PEs and the aggregate pc is a full rescan.
+// PE has its own pc, every broadcast scans all nprocs PEs and the aggregate
+// pc is a full rescan. It is the only engine with per-PE pcs.
 // Deliberately simple — its value is being obviously correct, so the
 // occupancy-indexed engines can be checked against it bit-for-bit forever
 // (tests/simd_differential_test.cpp). Spawns claim from the base
@@ -7,29 +8,41 @@
 // both engines share.
 #include "msc/simd/machine.hpp"
 
+#include <algorithm>
+
 namespace msc::simd {
 
 using codegen::MetaCode;
 using codegen::SOp;
 using codegen::SOpKind;
-using core::MetaId;
 using ir::kNoState;
 
 ReferenceSimdMachine::ReferenceSimdMachine(const codegen::SimdProgram& program,
                                            const ir::CostModel& cost,
                                            const mimd::RunConfig& config)
-    : SimdMachine(program, cost, config) {
+    : SimdMachine(program, cost, config),
+      pc_(static_cast<std::size_t>(config_.nprocs), kNoState) {
   // The oracle's value is being obviously correct: it never takes the
   // whole-lane path, whatever RunConfig::simd_isa asked for.
   isa_ = SimdIsa::Scalar;
+  std::fill_n(pc_.begin(), config_.active(), start_pc());
+}
+
+std::int64_t ReferenceSimdMachine::alive_count() const {
+  return std::count_if(pc_.begin(), pc_.end(),
+                       [](ir::StateId pc) { return pc != kNoState; });
+}
+
+DynBitset ReferenceSimdMachine::aggregate_pc() const {
+  DynBitset apc(prog_.mimd_states);
+  for (ir::StateId pc : pc_)
+    if (pc != kNoState) apc.set(pc);
+  return apc;
 }
 
 void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
-  std::int64_t alive_count = 0;
-  for (Pe& pe : pes_) {
-    pe.next_pc = pe.pc;
-    if (alive(pe)) ++alive_count;
-  }
+  next_pc_ = pc_;
+  const std::int64_t alive = alive_count();
 
   const DynBitset* prev_guard = nullptr;
   for (const SOp& op : mc.code) {
@@ -53,11 +66,11 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
       case SOpKind::SpawnPc: op_cost = cost_.spawn; break;
     }
     stats_.control_cycles += op_cost;
-    stats_.offered_pe_cycles += op_cost * alive_count;
+    stats_.offered_pe_cycles += op_cost * alive;
 
     for (std::int64_t i = 0; i < config_.nprocs; ++i) {
-      Pe& pe = pes_[static_cast<std::size_t>(i)];
-      if (!alive(pe) || !op.guard.test(pe.pc)) continue;
+      const std::size_t pe = static_cast<std::size_t>(i);
+      if (pc_[pe] == kNoState || !op.guard.test(pc_[pe])) continue;
       stats_.busy_pe_cycles += op_cost;
       switch (op.kind) {
         case SOpKind::Data: {
@@ -67,36 +80,30 @@ void ReferenceSimdMachine::exec_state(const MetaCode& mc) {
           break;
         }
         case SOpKind::SetPc:
-          pe.next_pc = op.a;
+          next_pc_[pe] = op.a;
           break;
         case SOpKind::CondSetPc: {
           Value cond = ir::stack_pop(lanes_.stack(i));
-          pe.next_pc = cond.truthy() ? op.a : op.b;
+          next_pc_[pe] = cond.truthy() ? op.a : op.b;
           break;
         }
         case SOpKind::HaltPc:
-          pe.next_pc = kNoState;
+          next_pc_[pe] = kNoState;
           break;
         case SOpKind::SpawnPc:
-          claim_child(op.a);
-          pe.next_pc = op.b;
+          next_pc_[static_cast<std::size_t>(claim_child())] = op.a;
+          next_pc_[pe] = op.b;
           break;
       }
     }
   }
-  for (std::size_t i = 0; i < pes_.size(); ++i) {
-    Pe& pe = pes_[i];
+  for (std::size_t i = 0; i < pc_.size(); ++i) {
     // A PE halting this state re-enters the spawn pool only under reuse
     // (§3.2.5); fresh never-ran PEs are already in it.
-    if (config_.reuse_halted_pes && pe.pc != kNoState && pe.next_pc == kNoState)
+    if (config_.reuse_halted_pes && pc_[i] != kNoState && next_pc_[i] == kNoState)
       free_.set(i);
-    pe.pc = pe.next_pc;
+    pc_[i] = next_pc_[i];
   }
-}
-
-MetaId ReferenceSimdMachine::next_state(const MetaCode& mc, DynBitset* apc) {
-  *apc = aggregate_pc();
-  return resolve_transition(mc, *apc);
 }
 
 }  // namespace msc::simd

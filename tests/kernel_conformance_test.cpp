@@ -89,6 +89,25 @@ TEST(KernelGroundTruth, OracleMatches) {
   }
 }
 
+// Each case's max_blocks covers the oracle's run, so mscc can use it as
+// the budget at any n (the default 4 M is too small for oddeven@1024).
+TEST(KernelGroundTruth, OracleStaysWithinBlockBound) {
+  for (const std::string& k : kernels::verified_names()) {
+    for (std::int64_t n : {5, 16, 65}) {
+      kernels::VerifiedParams params;
+      params.n = n;
+      const kernels::VerifiedCase c = kernels::make_case(k, params);
+      mimd::RunConfig config = c.config;
+      config.max_blocks = c.max_blocks;
+      mimd::MimdStats stats;
+      auto obs = driver::run_oracle(driver::compile(c.source), config,
+                                    c.input_seed, &stats);
+      EXPECT_EQ(kernels::check(c, obs), "") << k << " n=" << n;
+      EXPECT_LE(stats.blocks_executed, c.max_blocks) << k << " n=" << n;
+    }
+  }
+}
+
 // A machine wider than the problem: trailing PEs must never run and the
 // participating prefix still meets ground truth (initial_active < nprocs,
 // spawn claims keep inside the expected range).

@@ -8,8 +8,11 @@
 // (DESIGN.md §7, §11).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "msc/driver/pipeline.hpp"
 #include "msc/driver/runner.hpp"
+#include "msc/fuzz/manifest.hpp"
 #include "msc/simd/machine.hpp"
 #include "msc/support/str.hpp"
 #include "msc/support/trace.hpp"
@@ -292,6 +295,143 @@ TEST(SimdDifferential, TracerStreamsIdentical) {
     }
     EXPECT_EQ(streams[0], streams[1]) << name;
   }
+}
+
+/// What a caller can see of a run that may fault: the fault text, every
+/// PE's ever-ran flag, and every local and mono cell.
+struct FaultView {
+  std::string fault;
+  std::vector<bool> ran;
+  std::vector<Value> mem;
+  bool operator==(const FaultView&) const = default;
+};
+
+FaultView run_to_fault(const codegen::SimdProgram& prog,
+                       const mimd::RunConfig& config,
+                       const std::function<void(simd::SimdMachine&)>& seed) {
+  auto m = simd::make_machine(prog, kCost, config);
+  seed(*m);
+  FaultView v;
+  try {
+    m->run();
+  } catch (const ir::MachineFault& e) {
+    v.fault = e.what();
+  }
+  for (std::int64_t p = 0; p < config.nprocs; ++p) {
+    v.ran.push_back(m->ever_ran(p));
+    for (std::int64_t addr = 0; addr < config.local_mem_cells; ++addr)
+      v.mem.push_back(m->peek(p, addr));
+  }
+  for (std::int64_t addr = 0; addr < config.mono_mem_cells; ++addr)
+    v.mem.push_back(m->peek_mono(addr));
+  return v;
+}
+
+/// A faulting run must fault with the same text and leave the same
+/// memories and ever-ran flags on the reference engine and on the codegen
+/// engine under the default and a forced-scalar ISA. The fault stops a
+/// meta state part-way, so this pins that none of the codegen engine's
+/// recorded-but-uncommitted pc moves leak out. Stats are not compared:
+/// the engines charge a faulting group differently.
+void expect_fault_identical(const codegen::SimdProgram& prog,
+                            mimd::RunConfig config,
+                            const std::function<void(simd::SimdMachine&)>& seed,
+                            const std::string& fault) {
+  config.engine = mimd::SimdEngine::Reference;
+  const FaultView ref = run_to_fault(prog, config, seed);
+  EXPECT_EQ(ref.fault, fault);
+  config.engine = mimd::SimdEngine::Codegen;
+  for (SimdIsa isa : {config.simd_isa, SimdIsa::Scalar}) {
+    SCOPED_TRACE(cat("codegen isa=", simd_isa_name(isa)));
+    config.simd_isa = isa;
+    const FaultView got = run_to_fault(prog, config, seed);
+    EXPECT_EQ(got.fault, ref.fault);
+    EXPECT_EQ(got.ran, ref.ran);
+    EXPECT_TRUE(got.mem == ref.mem);
+  }
+}
+
+/// 16 PEs: PEs 0..7 store 7 at local[store_at] and halt; PEs 8..15 idle
+/// past them, then each spawns a child that, under reuse_halted_pes, lands
+/// on a halted PE and copies local[load_at] into local[0]. Both addresses
+/// are dynamic (`addr - pid/64`), and eight enabled PEs fill a 64-lane
+/// group densely enough for the lane executor's gather/scatter paths.
+ir::StateGraph edge_graph(std::int64_t store_at, std::int64_t load_at) {
+  using ir::Instr;
+  using ir::Opcode;
+  const auto addr = [](std::int64_t at) {
+    return std::vector<Instr>{Instr::push_i(at), Instr::of(Opcode::ProcId),
+                              Instr::push_i(64), Instr::of(Opcode::Div),
+                              Instr::of(Opcode::Sub)};
+  };
+  ir::StateGraph g;
+  const ir::StateId s0 = g.add_block("S0"), a = g.add_block("A"),
+                    b1 = g.add_block("B1"), b2 = g.add_block("B2"),
+                    c = g.add_block("C"), d = g.add_block("D");
+  g.start = s0;
+  g.at(s0).body = {Instr::of(Opcode::ProcId), Instr::push_i(8),
+                   Instr::of(Opcode::Lt)};
+  g.at(s0).exit = ir::ExitKind::Branch;
+  g.at(s0).target = a;
+  g.at(s0).alt = b1;
+  g.at(a).body = {Instr::push_i(7)};
+  for (const Instr& in : addr(store_at)) g.at(a).body.push_back(in);
+  g.at(a).body.push_back(Instr::of(Opcode::StL));
+  g.at(b1).body = {Instr::push_i(0), Instr::pop(1)};
+  g.at(b1).exit = ir::ExitKind::Jump;
+  g.at(b1).target = b2;
+  g.at(b2).exit = ir::ExitKind::Spawn;
+  g.at(b2).target = c;
+  g.at(b2).alt = d;
+  g.at(c).body = addr(load_at);
+  g.at(c).body.insert(g.at(c).body.end(),
+                      {Instr::of(Opcode::LdL), Instr::push_i(0),
+                       Instr::of(Opcode::StL)});
+  return g;
+}
+
+TEST(SimdDifferential, FaultingRunsIdentical) {
+  mimd::RunConfig config;
+  config.nprocs = 16;
+  config.reuse_halted_pes = true;
+  const std::int64_t cells = config.local_mem_cells;
+  const auto no_seed = [](simd::SimdMachine&) {};
+  struct EdgeCase {
+    const char* name;
+    std::int64_t store_at, load_at;
+    std::string fault;
+  };
+  for (const EdgeCase& e :
+       {EdgeCase{"store at the logical edge", cells, 0,
+                 cat("local store out of range: ", cells)},
+        EdgeCase{"load past the logical edge", cells - 1, cells,
+                 cat("local load out of range: ", cells)}}) {
+    SCOPED_TRACE(e.name);
+    const auto conv =
+        core::meta_state_convert(edge_graph(e.store_at, e.load_at), kCost, {});
+    const auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
+    expect_fault_identical(prog, config, no_seed, e.fault);
+  }
+
+  SCOPED_TRACE("corpus/spawn_exhaustion");
+  std::string source;
+  const fuzz::Manifest manifest = fuzz::load_manifest(
+      cat(MSC_CORPUS_DIR, "/spawn_exhaustion.json"), &source);
+  ASSERT_EQ(manifest.expect, "fault");
+  const auto compiled = driver::compile(source);
+  const auto conv = core::meta_state_convert(compiled.graph, kCost, {});
+  const auto prog = codegen::generate(conv.automaton, conv.graph, kCost, {});
+  config = {};
+  config.nprocs = manifest.nprocs;
+  config.initial_active = manifest.initial_active;
+  config.reuse_halted_pes = manifest.reuse_halted_pes;
+  expect_fault_identical(
+      prog, config,
+      [&](simd::SimdMachine& m) {
+        driver::seed_machine(m, compiled, config, manifest.input_seed);
+      },
+      "spawn failed: no free processing element "
+      "(§3.2.5 assumes processes ≤ processors)");
 }
 
 }  // namespace

@@ -231,6 +231,7 @@ int run_coschedule(const std::vector<std::string>& specs,
     config.nprocs = c.config.nprocs;
     config.initial_active = c.config.initial_active;
     config.reuse_halted_pes = c.config.reuse_halted_pes;
+    config.max_blocks = c.max_blocks;
     auto machine = simd::make_machine(*conv->prog, cost, config);
     driver::seed_machine(*machine, conv->compiled, config, seed);
     if (profiling) machine->enable_profiling();
@@ -433,7 +434,9 @@ int main(int argc, char** argv) {
     return usage();
 
   // Verified kernels resolve after parsing so --seed/--nprocs are known;
-  // they preset the machine geometry unless the flags override it.
+  // they preset the machine geometry unless the flags override it, and
+  // the block budget (no flag sets it), which the default 4 M is too small
+  // for at large n (oddeven@1024 runs ~9 M oracle blocks).
   std::optional<kernels::VerifiedCase> vcase;
   if (verified_spec && cosched_specs.empty()) {
     try {
@@ -445,6 +448,7 @@ int main(int argc, char** argv) {
       if (!user_nprocs) config.nprocs = c.config.nprocs;
       if (!user_active) config.initial_active = c.config.initial_active;
       config.reuse_halted_pes = c.config.reuse_halted_pes;
+      config.max_blocks = c.max_blocks;
       vcase = std::move(c);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "mscc: %s\n", e.what());
