@@ -54,11 +54,10 @@ bool Observed::operator==(const Observed& o) const {
 
 bool Observed::equivalent_unordered(const Observed& o) const {
   auto key = [](const Value& v) {
-    return std::pair<int, double>(static_cast<int>(v.kind),
-                                  v.is_int() ? static_cast<double>(v.i) : v.f);
+    return std::pair<int, std::int64_t>(static_cast<int>(v.kind), v.bits());
   };
   auto multiset_of = [&](const Observed& obs) {
-    std::vector<std::pair<int, double>> m;
+    std::vector<std::pair<int, std::int64_t>> m;
     for (std::size_t p = 0; p < obs.ran.size(); ++p)
       if (obs.ran[p]) m.push_back(key(obs.results[p]));
     std::sort(m.begin(), m.end());

@@ -76,12 +76,19 @@ double HashedSwitch::density() const {
 
 namespace {
 
-bool injective(const HashFn& fn, const std::vector<std::uint64_t>& keys) {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(keys.size() * 2);
-  for (std::uint64_t k : keys)
-    if (!seen.insert(fn.eval(k)).second) return false;
-  return true;
+/// Whether `fn` sends `keys` to distinct slots. `used` is the search's
+/// one scratch slot table (at least fn.mask + 1 entries, all clear); only
+/// the slots this call marks are cleared again.
+bool injective(const HashFn& fn, const std::vector<std::uint64_t>& keys,
+               std::vector<std::uint8_t>& used) {
+  std::size_t marked = 0;
+  for (; marked < keys.size(); ++marked) {
+    std::uint8_t& slot = used[fn.eval(keys[marked])];
+    if (slot) break;
+    slot = 1;
+  }
+  for (std::size_t k = 0; k < marked; ++k) used[fn.eval(keys[k])] = 0;
+  return marked == keys.size();
 }
 
 HashedSwitch finish(HashFn fn, const std::vector<std::uint64_t>& keys) {
@@ -109,30 +116,33 @@ HashedSwitch build_switch(const std::vector<std::uint64_t>& keys,
   std::uint32_t min_bits = 0;
   while ((std::size_t{1} << min_bits) < keys.size()) ++min_bits;
 
+  std::vector<std::uint8_t> used;
+
   for (std::uint32_t bits = min_bits; bits <= options.max_bits; ++bits) {
     std::uint64_t mask = (bits >= 64) ? ~0ull : ((std::uint64_t{1} << bits) - 1);
+    used.resize(static_cast<std::size_t>(mask) + 1);
     // Cheapest families first; within a family smallest shift first, so
     // the chosen encoding is deterministic.
     {
       HashFn fn{HashFn::Kind::Identity, 0, 0, mask};
-      if (injective(fn, keys)) return finish(fn, keys);
+      if (injective(fn, keys, used)) return finish(fn, keys);
     }
     for (std::uint32_t s = 1; s < 64; ++s) {
       HashFn fn{HashFn::Kind::ShiftMask, s, 0, mask};
-      if (injective(fn, keys)) return finish(fn, keys);
+      if (injective(fn, keys, used)) return finish(fn, keys);
     }
     for (std::uint32_t s = 0; s < 64; ++s) {
       HashFn fn{HashFn::Kind::NotShiftMask, s, 0, mask};
-      if (injective(fn, keys)) return finish(fn, keys);
+      if (injective(fn, keys, used)) return finish(fn, keys);
     }
     for (std::uint32_t s = 1; s < 64; ++s) {
       HashFn fn{HashFn::Kind::XorShiftMask, s, 0, mask};
-      if (injective(fn, keys)) return finish(fn, keys);
+      if (injective(fn, keys, used)) return finish(fn, keys);
     }
     std::uint64_t mul = 0x9E3779B97F4A7C15ull;  // golden-ratio seed
     for (std::uint32_t a = 0; a < options.mul_attempts; ++a) {
       HashFn fn{HashFn::Kind::MulShift, 64 - bits, mul | 1, mask};
-      if (injective(fn, keys)) return finish(fn, keys);
+      if (injective(fn, keys, used)) return finish(fn, keys);
       mul = mul * 0xBF58476D1CE4E5B9ull + 0x94D049BB133111EBull;
     }
   }

@@ -56,10 +56,10 @@ struct Value {
   /// C truthiness.
   bool truthy() const { return is_int() ? i != 0 : f != 0.0; }
 
-  bool operator==(const Value& o) const {
-    if (kind != o.kind) return false;
-    return is_int() ? i == o.i : f == o.f;
-  }
+  /// Bit-for-bit identity: same kind and same payload word, so 0.0 and
+  /// -0.0 differ and a NaN equals itself. Guest comparisons (Eq, Lt, ...)
+  /// are computed on numbers in ir::arith, not through this operator.
+  bool operator==(const Value& o) const { return kind == o.kind && bits() == o.bits(); }
   bool operator!=(const Value& o) const { return !(*this == o); }
 
   std::string to_string() const;

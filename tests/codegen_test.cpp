@@ -2,6 +2,7 @@
 
 #include "msc/codegen/program.hpp"
 #include "msc/driver/pipeline.hpp"
+#include "msc/kernels/verified.hpp"
 #include "msc/workload/kernels.hpp"
 
 using namespace msc;
@@ -134,6 +135,77 @@ TEST(Codegen, CompressedFallbackSet) {
   EXPECT_EQ(wide->trans, TransKind::Direct);
   EXPECT_EQ(wide->direct_target, wide->id);  // self loop
   EXPECT_TRUE(wide->needs_apc);              // must detect all-halted
+}
+
+namespace {
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(const DynBitset& b) {
+    add(b.word_size());
+    for (std::size_t w = 0; w < b.word_size(); ++w) add(b.word(w));
+  }
+};
+
+void digest(Fnv& f, const SimdProgram& p) {
+  f.add(p.states.size());
+  for (const MetaCode& mc : p.states) {
+    f.add(mc.code.size());
+    for (const SOp& op : mc.code) {
+      f.add(static_cast<std::uint64_t>(op.kind));
+      f.add(static_cast<std::uint64_t>(op.a));
+      f.add(static_cast<std::uint64_t>(op.b));
+      f.add(op.guard);
+      f.add(static_cast<std::uint64_t>(op.instr.op));
+      f.add(static_cast<std::uint64_t>(op.instr.imm.kind));
+      f.add(static_cast<std::uint64_t>(op.instr.imm.bits()));
+    }
+    f.add(static_cast<std::uint64_t>(mc.sw.fn.kind));
+    f.add(mc.sw.fn.shift);
+    f.add(mc.sw.fn.mul);
+    f.add(mc.sw.fn.mask);
+    f.add(mc.sw.table.size());
+    for (std::int32_t slot : mc.sw.table) f.add(static_cast<std::uint64_t>(slot));
+    f.add(mc.sw.keys.size());
+    for (std::uint64_t key : mc.sw.keys) f.add(key);
+    f.add(static_cast<std::uint64_t>(mc.serialized_cost));
+    f.add(static_cast<std::uint64_t>(mc.induced_cost));
+    f.add(static_cast<std::uint64_t>(mc.csi_lower_bound));
+  }
+}
+
+}  // namespace
+
+TEST(Codegen, OutputDigestIsPinned) {
+  // Everything generate() emits over the suite and the six verified
+  // kernels at 64 PEs, through the pipeline `mscc --run` uses. CSI's
+  // schedules and the hash search's functions are deterministic, so a
+  // faster search must reproduce them exactly: any change to an op, a
+  // guard, a switch or a cost moves this digest.
+  driver::PipelineOptions po;
+  po.pipeline = driver::resolve_pipeline(po);
+  po.pipeline.push_back("codegen");
+  std::vector<std::string> sources;
+  for (const auto& kernel : workload::suite()) sources.push_back(kernel.source);
+  for (const std::string& name : kernels::verified_names()) {
+    kernels::VerifiedParams params;
+    params.n = 64;
+    sources.push_back(kernels::make_case(name, params).source);
+  }
+  Fnv f;
+  for (const std::string& src : sources) {
+    driver::Converted c = driver::convert(src, kCost, po);
+    ASSERT_TRUE(c.prog.has_value());
+    digest(f, *c.prog);
+  }
+  EXPECT_EQ(f.h, 0xf90b2d76c10b846eull) << std::hex << "digest 0x" << f.h;
 }
 
 // ------------------------------------------------------------------- emitter

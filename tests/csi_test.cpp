@@ -109,6 +109,26 @@ TEST(Csi, ImmediatesDistinguishInstructions) {
   EXPECT_EQ(res2.schedule.size(), 2u);
 }
 
+TEST(Csi, SignedZerosAreDistinctInstructions) {
+  // 0.0 == -0.0 as numbers, but a shared push would hand one thread the
+  // other's literal: each keeps its own op.
+  auto res = run({body({Instr::push_f(0.0)}), body({Instr::push_f(-0.0)})});
+  ASSERT_EQ(res.schedule.size(), 2u);
+  EXPECT_EQ(res.shared_ops, 0u);
+  for (const GuardedOp& op : res.schedule) EXPECT_EQ(op.guard.count(), 1u);
+  EXPECT_NE(res.schedule[0].instr.imm.bits(), res.schedule[1].instr.imm.bits());
+}
+
+TEST(Csi, NanLiteralSharesWithItself) {
+  // A NaN literal is bit-identical to itself, so two threads pushing it
+  // share one op and the schedule still projects onto each thread.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto b = body({Instr::push_f(nan), Instr::of(Opcode::Add)});
+  auto res = run({b, b});  // run() checks schedule_valid
+  EXPECT_EQ(res.schedule.size(), 2u);
+  EXPECT_EQ(res.shared_ops, 2u);
+}
+
 TEST(Csi, LowerBoundCountsRepeatsPerThread) {
   // Thread a needs Add twice; b needs it once → at least 2 Adds.
   auto a = body({Instr::of(Opcode::Add), Instr::of(Opcode::Add)});
@@ -131,9 +151,10 @@ TEST(Csi, CostWeightedChoicePrefersExpensiveSharing) {
 
 TEST(Csi, RandomizedSchedulesAlwaysValidAndBounded) {
   Rng rng(7);
-  for (int trial = 0; trial < 40; ++trial) {
+  // The last trial has 130 threads, so guard rows span three words.
+  for (int trial = 0; trial < 41; ++trial) {
     std::vector<std::vector<Instr>> bodies;
-    std::size_t nthreads = 2 + rng.next_below(4);
+    std::size_t nthreads = trial < 40 ? 2 + rng.next_below(4) : 130;
     for (std::size_t t = 0; t < nthreads; ++t) {
       std::vector<Instr> b;
       std::size_t len = rng.next_below(12);

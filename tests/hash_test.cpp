@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "msc/hash/multiway.hpp"
 #include "msc/support/rng.hpp"
 
@@ -25,6 +27,51 @@ void check_perfect(const std::vector<std::uint64_t>& keys,
       EXPECT_EQ(sw.lookup(foreign), -1);
     }
   }
+}
+
+/// The function build_switch must choose: the same candidate order (table
+/// widths from the smallest, then Identity, ShiftMask, NotShiftMask,
+/// XorShiftMask by shift, then the MulShift multiplier walk), checked with
+/// a fresh std::set per candidate.
+HashFn reference_search(const std::vector<std::uint64_t>& keys,
+                        const SearchOptions& opts = {}) {
+  auto perfect = [&](const HashFn& fn) {
+    std::set<std::uint64_t> slots;
+    for (std::uint64_t k : keys)
+      if (!slots.insert(fn.eval(k)).second) return false;
+    return true;
+  };
+  std::uint32_t min_bits = 0;
+  while ((std::size_t{1} << min_bits) < keys.size()) ++min_bits;
+  for (std::uint32_t bits = min_bits; bits <= opts.max_bits; ++bits) {
+    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+    std::vector<HashFn> candidates{{HashFn::Kind::Identity, 0, 0, mask}};
+    for (std::uint32_t s = 1; s < 64; ++s)
+      candidates.push_back({HashFn::Kind::ShiftMask, s, 0, mask});
+    for (std::uint32_t s = 0; s < 64; ++s)
+      candidates.push_back({HashFn::Kind::NotShiftMask, s, 0, mask});
+    for (std::uint32_t s = 1; s < 64; ++s)
+      candidates.push_back({HashFn::Kind::XorShiftMask, s, 0, mask});
+    std::uint64_t mul = 0x9E3779B97F4A7C15ull;
+    for (std::uint32_t a = 0; a < opts.mul_attempts; ++a) {
+      candidates.push_back({HashFn::Kind::MulShift, 64 - bits, mul | 1, mask});
+      mul = mul * 0xBF58476D1CE4E5B9ull + 0x94D049BB133111EBull;
+    }
+    for (const HashFn& fn : candidates)
+      if (perfect(fn)) return fn;
+  }
+  HashFn linear;
+  linear.kind = HashFn::Kind::Linear;
+  return linear;
+}
+
+void check_search_order(const std::vector<std::uint64_t>& keys) {
+  const HashFn want = reference_search(keys);
+  const HashFn got = build_switch(keys).fn;
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.shift, want.shift);
+  EXPECT_EQ(got.mul, want.mul);
+  EXPECT_EQ(got.mask, want.mask);
 }
 
 }  // namespace
@@ -87,6 +134,7 @@ TEST(Hash, SparseRandomKeySets) {
       if (!dup) keys.push_back(k);
     }
     check_perfect(keys);
+    check_search_order(keys);
   }
 }
 
@@ -101,6 +149,7 @@ TEST(Hash, SubsetBitPatterns) {
     keys.push_back(k);
   }
   check_perfect(keys);
+  check_search_order(keys);
 }
 
 TEST(Hash, LinearFallbackStillCorrect) {

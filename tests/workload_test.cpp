@@ -199,6 +199,22 @@ TEST(Runner, UnorderedEquivalenceIgnoresPePermutation) {
   EXPECT_FALSE(a.equivalent_unordered(b));
 }
 
+TEST(Runner, UnorderedEquivalenceComparesBits) {
+  // Ints that differ only above 2^53 round to one double, and 0.0 equals
+  // -0.0 as a number: neither pair is the same result.
+  const std::int64_t big = std::int64_t{1} << 53;
+  driver::Observed a, b;
+  a.ran = b.ran = {true};
+  a.results = {Value::of_int(big)};
+  b.results = {Value::of_int(big + 1)};
+  EXPECT_FALSE(a.equivalent_unordered(b));
+  a.results = {Value::of_float(0.0)};
+  b.results = {Value::of_float(-0.0)};
+  EXPECT_FALSE(a.equivalent_unordered(b));
+  b.results = {Value::of_float(0.0)};
+  EXPECT_TRUE(a.equivalent_unordered(b));
+}
+
 TEST(Runner, MimdStatsExposed) {
   auto compiled = driver::compile(workload::listing3().source);
   mimd::RunConfig cfg;
